@@ -3,9 +3,9 @@
 //! `BENCH_scout.json` ledgers, one entry per engine revision.
 //!
 //! ```sh
-//! cargo run --release -p venice-bench --bin ablate_routing   # refresh results/bench_dispatch.json
-//! cargo run --release -p venice-bench --bin scout_stress     # refresh results/bench_scout.json
-//! cargo run --release -p venice-bench --bin perf_ledger      # append both ledgers
+//! cargo bench -p venice-bench --bench dispatch_scan       # refresh results/bench_dispatch.json
+//! cargo bench -p venice-bench --bench scout_walk          # refresh results/bench_scout.json
+//! cargo run --release -p venice-bench --bin perf_ledger   # append both ledgers
 //! ```
 //!
 //! Each ledger is one JSON document with an `entries` array; an entry
@@ -15,8 +15,13 @@
 //! (the fingerprint dedups), so CI can invoke this unconditionally; the
 //! per-PR trajectory accumulates across revisions.
 //!
+//! An entry names the revision it measured, so the ledger refuses to run
+//! on a tree with uncommitted changes (`git describe` ending in `-dirty`):
+//! such an entry would name a revision whose code it did not measure.
+//!
 //! Flags: `--dir <path>` (ledger directory, default `.` — the repo top
-//! when run via cargo).
+//! when run via cargo); `--allow-dirty` (append from a dirty tree anyway,
+//! e.g. for a local trial; the entry keeps its `-dirty` revision).
 
 use std::path::{Path, PathBuf};
 
@@ -43,6 +48,17 @@ fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Refuses a `-dirty` revision unless `allow_dirty` is set.
+fn check_revision(describe: &str, allow_dirty: bool) -> Result<(), String> {
+    if describe.ends_with("-dirty") && !allow_dirty {
+        return Err(format!(
+            "revision {describe} has uncommitted changes; commit them, or pass \
+             --allow-dirty to record a dirty entry anyway"
+        ));
+    }
+    Ok(())
+}
+
 /// Mean of `values` (`None` when empty).
 fn mean(values: &[f64]) -> Option<f64> {
     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
@@ -51,7 +67,7 @@ fn mean(values: &[f64]) -> Option<f64> {
 /// Folds one microbench artifact into one ledger entry line, or explains
 /// why it cannot (missing artifact is a skip, not an error: the ledgers
 /// only grow on machines that ran the benches).
-fn entry_for(source: &Path, throughput_key: &str) -> Result<String, String> {
+fn entry_for(source: &Path, throughput_key: &str, git: &str) -> Result<String, String> {
     let json = std::fs::read_to_string(source)
         .map_err(|e| format!("cannot read {} ({e}); run its bench first", source.display()))?;
     let scenarios = json_str_fields(&json, "name").len();
@@ -63,7 +79,7 @@ fn entry_for(source: &Path, throughput_key: &str) -> Result<String, String> {
     Ok(format!(
         "  {{\"git\": {}, \"fingerprint\": \"{:016x}\", \"scenarios\": {scenarios}, \
          \"mean_speedup\": {}, \"mean_{throughput_key}\": {}}}",
-        json_str(&git_describe()),
+        json_str(git),
         fnv1a(json.as_bytes()),
         f2(mean(&speedups).unwrap_or(0.0)),
         f2(mean(&throughput).unwrap_or(0.0)),
@@ -101,6 +117,7 @@ fn append(path: &Path, ledger_name: &str, entry: String) -> std::io::Result<bool
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dir = PathBuf::from(".");
+    let mut allow_dirty = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -108,9 +125,15 @@ fn main() {
                 i += 1;
                 dir = PathBuf::from(args.get(i).expect("missing value after --dir"));
             }
-            other => panic!("unknown flag {other:?} (only --dir is supported)"),
+            "--allow-dirty" => allow_dirty = true,
+            other => panic!("unknown flag {other:?} (supported: --dir, --allow-dirty)"),
         }
         i += 1;
+    }
+    let git = git_describe();
+    if let Err(why) = check_revision(&git, allow_dirty) {
+        eprintln!("error: [perf-ledger] {why}");
+        std::process::exit(1);
     }
     let results = venice_bench::results_dir();
     let ledgers = [
@@ -119,7 +142,7 @@ fn main() {
     ];
     for (name, throughput_key, ledger_file) in ledgers {
         let source = results.join(format!("bench_{name}.json"));
-        match entry_for(&source, throughput_key) {
+        match entry_for(&source, throughput_key, &git) {
             Err(why) => eprintln!("[perf-ledger] {name}: skipped ({why})"),
             Ok(entry) => {
                 let path = dir.join(ledger_file);
@@ -132,5 +155,19 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_revision;
+
+    #[test]
+    fn dirty_revisions_need_allow_dirty() {
+        assert!(check_revision("1568a7c", false).is_ok());
+        assert!(check_revision("v0.1-3-g1568a7c", false).is_ok());
+        let err = check_revision("1568a7c-dirty", false).unwrap_err();
+        assert!(err.contains("--allow-dirty"), "{err}");
+        assert!(check_revision("1568a7c-dirty", true).is_ok());
     }
 }

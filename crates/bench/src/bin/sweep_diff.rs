@@ -16,7 +16,10 @@
 //! `--ignore-scout-cache`, which folds the label's scout-cache segment so
 //! a `--scout-cache on` run lines up with a `--scout-cache off` run — a
 //! cache-on vs cache-off big-mesh sweep, where every simulated-behavior
-//! metric must come out identical.
+//! metric must come out identical. Under that flag the tool also compares
+//! each pair's *whole* point record, and reports an effort-masked
+//! fingerprint per side, with the scout-cache label and its fast-fail and
+//! invalidation counters masked (the only fields the cache may change).
 //!
 //! Exit status: 0 when every matched point's compared metrics are equal
 //! and the point sets match, 1 otherwise *only* under `--strict` (without
@@ -136,6 +139,40 @@ fn fold_cache_segment(label: &str) -> String {
     out
 }
 
+/// A point record with the fields the scout cache may change masked: the
+/// `scout_cache` label and the `scout_fastfails` /
+/// `scout_cache_invalidations` effort counters.
+fn mask_cache_effort(record: &str) -> String {
+    let mut out = String::with_capacity(record.len());
+    let mut rest = record;
+    loop {
+        let next = ["\"scout_cache\": ", "\"scout_fastfails\": ", "\"scout_cache_invalidations\": "]
+            .iter()
+            .filter_map(|key| rest.find(key).map(|at| (at, key.len())))
+            .min();
+        let Some((at, key_len)) = next else {
+            out.push_str(rest);
+            return out;
+        };
+        out.push_str(&rest[..at + key_len]);
+        out.push('*');
+        rest = &rest[at + key_len..];
+        rest = &rest[rest.find([',', '}', '\n']).unwrap_or(rest.len())..];
+    }
+}
+
+/// FNV-1a over the effort-masked point records in manifest order; an
+/// unreadable record folds in as empty.
+fn masked_fingerprint(m: &Manifest) -> String {
+    let h = m.points.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+        let record = std::fs::read_to_string(m.dir.join(&p.file)).unwrap_or_default();
+        mask_cache_effort(&record)
+            .bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    });
+    format!("{h:016x}")
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut take_flag = |name: &str| -> bool {
@@ -172,6 +209,16 @@ fn main() {
             "metrics fingerprints differ: {} vs {}",
             a.metrics_fingerprint, b.metrics_fingerprint
         );
+    }
+    let mut masked_differ = false;
+    if ignore_cache {
+        let (fa, fb) = (masked_fingerprint(&a), masked_fingerprint(&b));
+        masked_differ = fa != fb;
+        if masked_differ {
+            println!("effort-masked fingerprints differ: {fa} vs {fb}");
+        } else {
+            println!("effort-masked fingerprints MATCH ({fa}) — same simulated behaviour");
+        }
     }
 
     let mut mismatched_points = 0usize;
@@ -231,7 +278,10 @@ fn main() {
         let en_a = ra.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
         let en_b = rb.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
         let energy_same = en_a == en_b;
-        let same = exec_a == exec_b && ev_a == ev_b && cf_a == cf_b && energy_same;
+        let records_same = !ignore_cache
+            || ra.as_deref().map(mask_cache_effort) == rb.as_deref().map(mask_cache_effort);
+        let same =
+            exec_a == exec_b && ev_a == ev_b && cf_a == cf_b && energy_same && records_same;
         if !same {
             mismatched_points += 1;
         }
@@ -261,8 +311,31 @@ fn main() {
         compared - mismatched_points
     );
     if strict
-        && (mismatched_points > 0 || missing_in_b > 0 || only_in_b > 0 || failed_points > 0)
+        && (mismatched_points > 0
+            || missing_in_b > 0
+            || only_in_b > 0
+            || failed_points > 0
+            || masked_differ)
     {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mask_cache_effort;
+
+    #[test]
+    fn masking_hides_only_the_cache_effort_fields() {
+        let on = "{\"scout_cache\": \"cache-on\",\n  \"fabric\": {\"scout_steps\": 9, \
+                  \"scout_fastfails\": 14, \"scout_cache_invalidations\": 3, \"hops_total\": 5}}";
+        let off = on
+            .replace("cache-on", "cache-off")
+            .replace("\"scout_fastfails\": 14", "\"scout_fastfails\": 0")
+            .replace("\"scout_cache_invalidations\": 3", "\"scout_cache_invalidations\": 0");
+        assert_eq!(mask_cache_effort(on), mask_cache_effort(&off));
+        assert!(mask_cache_effort(on).contains("\"scout_steps\": 9"));
+        let other = on.replace("\"scout_steps\": 9", "\"scout_steps\": 8");
+        assert_ne!(mask_cache_effort(on), mask_cache_effort(&other));
     }
 }

@@ -1,14 +1,14 @@
 //! Shared harness code for the figure/table reproduction binaries.
 //!
 //! Every binary in this crate regenerates one table or figure of the Venice
-//! paper (see DESIGN.md §4 for the index). They all print a
+//! paper (the [`figures`] module is the index). They all print a
 //! markdown rendering to stdout and write a CSV under `results/`.
 //!
 //! Knobs (environment variables; invalid values warn on stderr and fall
 //! back to the default):
 //!
-//! * `VENICE_REQUESTS` — requests per workload (default 3000; the paper-vs-
-//!   measured records in EXPERIMENTS.md use 4000),
+//! * `VENICE_REQUESTS` — requests per workload (default 3000, the size the
+//!   repository benchmark's `paper_catalog` workload runs),
 //! * `VENICE_RESULTS_DIR` — where CSVs land (default `./results`),
 //! * `VENICE_PAR` — thread budget of the shared worker pool (default:
 //!   available cores, read once when the pool is first used). Every

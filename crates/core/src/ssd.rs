@@ -1162,8 +1162,9 @@ impl SsdSim {
     }
 
     /// Cached-mapping-table lookup: a miss issues a mapping-table read
-    /// (modelled as a read of the data page the translation entry points at;
-    /// see DESIGN.md) and fills the cache.
+    /// (modelled as a read of the data page the translation entry points at,
+    /// the "FTL translate" step of the "Life of a request" section in
+    /// docs/ARCHITECTURE.md) and fills the cache.
     fn charge_mapping_lookup(&mut self, now: SimTime, lpa: u64) {
         if self.cmt.lookup(lpa) {
             return;
@@ -2961,7 +2962,8 @@ mod tests {
         // dispatcher's pessimistic first-try accounting (every queued
         // transfer is attempted each scheduling round) inflates absolute
         // numbers, but Venice must still resolve conflict-free decisively
-        // more often than the Baseline (see EXPERIMENTS.md).
+        // more often than the Baseline (the gap to the paper's absolute
+        // rates is the paper-fidelity item of ROADMAP.md).
         let trace = tiny_trace(600, 80.0, 5.0);
         let base = run(FabricKind::Baseline, &trace);
         let ven = run(FabricKind::Venice, &trace);
@@ -3097,7 +3099,12 @@ mod tests {
         );
         // And the cache changes nothing the simulation can observe: the
         // uncached run completes identically.
-        let uncached = SsdSim::new(base, FabricKind::Venice, &trace).run();
+        let uncached = SsdSim::new(
+            base.with_scout_cache(ScoutCacheKind::Off),
+            FabricKind::Venice,
+            &trace,
+        )
+        .run();
         assert_eq!(cached.execution_time, uncached.execution_time);
         assert_eq!(cached.latencies, uncached.latencies);
         assert_eq!(cached.dispatch, uncached.dispatch);

@@ -106,8 +106,9 @@ pub struct FabricParams {
     /// the §4.3 non-minimal misrouting stage; backtracking still works).
     pub venice_minimal_only: bool,
     /// Whether Venice runs the generation-stamped scout fast-fail cache
-    /// (see [`crate::scout::ScoutCache`]); [`ScoutCacheKind::Off`] is the
-    /// default and reproduces the pre-cache engine exactly.
+    /// (see [`crate::scout::ScoutCache`]). [`ScoutCacheKind::On`] is the
+    /// default; it simulates exactly what [`ScoutCacheKind::Off`] (the
+    /// pre-cache engine) does, only faster.
     pub scout_cache: ScoutCacheKind,
     /// Electrical power model (Table 4 constants).
     pub power: LinkPower,
@@ -125,7 +126,7 @@ impl FabricParams {
             link_latency: SimDuration::from_nanos(1),
             nossd_router_latency: SimDuration::from_nanos(2),
             venice_minimal_only: false,
-            scout_cache: ScoutCacheKind::Off,
+            scout_cache: ScoutCacheKind::default(),
             power: LinkPower::paper(),
         }
     }

@@ -93,13 +93,37 @@ pub struct ScoutOutcome {
     pub lfsr_draws: u32,
 }
 
+/// Scout scratch flag: the router is on the walk's tentative path.
+const ON_PATH: u8 = 0x80;
+
+/// [`Frame::entry`] of the source frame: the scout enters its first router
+/// from the controller's injection port, not a mesh direction.
+const INJECTION: u8 = 4;
+
 /// One DFS frame of a scout walk.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Frame {
-    node: NodeId,
-    entry: Port,
-    /// Output directions already attempted from this frame.
-    tried: [bool; 4],
+    node: u16,
+    /// [`Direction::index`] of the port the scout entered on, or
+    /// [`INJECTION`] for the source.
+    entry: u8,
+    /// Output directions already attempted from this frame, one bit per
+    /// [`Direction::index`].
+    tried: u8,
+}
+
+/// Precomputed per-router tables for the scout inner loop, so a DFS step
+/// does no row/column arithmetic of [`Mesh2D::neighbor`] / [`Mesh2D::link`].
+#[derive(Clone, Copy, Debug)]
+struct NodeInfo {
+    row: u16,
+    col: u16,
+    /// Neighbor per [`Direction::index`]; the one-past-the-end sentinel
+    /// (the node count) at the mesh edge, whose scout scratch slot is
+    /// always zero.
+    nbr: [u16; 4],
+    /// Connecting link per [`Direction::index`] (unused at the mesh edge).
+    link: [u32; 4],
 }
 
 /// Mutable reservation state of a 2D-mesh interconnect: per-link owner and
@@ -120,17 +144,24 @@ pub struct MeshState {
     links: Vec<Option<u8>>,
     routers: Vec<ReservationTable>,
     controllers: usize,
-    /// Scout scratch: per-router entry counts (livelock bound), zeroed at
-    /// the start of every walk.
-    scout_entries: Vec<u8>,
-    /// Scout scratch: the DFS stack.
+    /// Scout scratch, one byte per router plus the edge sentinel: the
+    /// livelock entry count in the low bits and [`ON_PATH`] while the
+    /// router is on the walk's tentative path. Zeroed at the start of every
+    /// walk.
+    scout_visits: Vec<u8>,
+    /// Scout scratch: the DFS stack, i.e. the tentative path.
     scout_stack: Vec<Frame>,
     /// Recycled `ReservedPath` buffers.
     path_pool: Vec<ReservedPath>,
-    /// Precomputed adjacency: `adj[node][dir]` is the neighbor and
-    /// connecting link, or `None` at the mesh edge. Avoids the row/column
-    /// arithmetic of [`Mesh2D::neighbor`] in the scout inner loop.
-    adj: Vec<[Option<(NodeId, LinkId)>; 4]>,
+    /// Per-router coordinates, neighbors and links.
+    info: Vec<NodeInfo>,
+    /// Per-router open-port mask: bit [`Direction::index`] is set when the
+    /// neighbor in that direction exists, the connecting link is free
+    /// ([`MeshState::link_free`]) and the neighbor router is not down. Every
+    /// change to link owners or fault masks goes through
+    /// [`MeshState::stamp_nodes`], which recomputes the mask of each router
+    /// it stamps — the contract that keeps this cache exact.
+    open: Vec<u8>,
     /// Fault mask: `true` for links taken down by a fault event. A downed
     /// link rejects new reservations (scout walks and XY circuits alike)
     /// until repaired; a circuit already holding the link drains normally
@@ -141,8 +172,8 @@ pub struct MeshState {
     /// [`MeshState::try_reserve_path`] rejects paths crossing one.
     router_down: Vec<bool>,
     /// Monotone change sequence: bumped once per reservation-state change
-    /// (a circuit installed or released). Failed scout walks restore every
-    /// link they touched and do **not** bump it.
+    /// (a circuit installed or released, a fault mask flipped). Failed
+    /// scout walks write nothing to the mesh and do **not** bump it.
     change_seq: u64,
     /// Per-router generation stamp: the [`MeshState::change_seq`] value of
     /// the last reservation change that touched the router. A region whose
@@ -160,31 +191,60 @@ pub struct MeshState {
 impl MeshState {
     /// Creates an idle mesh with `controllers` packet IDs per router table.
     pub fn new(topo: Mesh2D, controllers: usize) -> Self {
-        MeshState {
+        let nodes = topo.node_count();
+        assert!(nodes < usize::from(u16::MAX), "mesh too large for u16 node ids");
+        let info = (0..nodes as u16)
+            .map(|n| {
+                let n = NodeId(n);
+                let mut nbr = [nodes as u16; 4];
+                let mut link = [0; 4];
+                for d in Direction::ALL {
+                    if let (Some(nb), Some(l)) = (topo.neighbor(n, d), topo.link(n, d)) {
+                        nbr[d.index()] = nb.0;
+                        link[d.index()] = l.0;
+                    }
+                }
+                NodeInfo {
+                    row: topo.row(n),
+                    col: topo.col(n),
+                    nbr,
+                    link,
+                }
+            })
+            .collect();
+        let mut mesh = MeshState {
             topo,
             links: vec![None; topo.link_count()],
-            routers: (0..topo.node_count())
-                .map(|_| ReservationTable::new(controllers))
-                .collect(),
+            routers: (0..nodes).map(|_| ReservationTable::new(controllers)).collect(),
             controllers,
-            scout_entries: vec![0; topo.node_count()],
+            scout_visits: vec![0; nodes + 1],
             scout_stack: Vec::new(),
             path_pool: Vec::new(),
-            adj: (0..topo.node_count())
-                .map(|n| {
-                    Direction::ALL.map(|d| {
-                        let nb = topo.neighbor(NodeId(n as u16), d)?;
-                        let link = topo.link(NodeId(n as u16), d)?;
-                        Some((nb, link))
-                    })
-                })
-                .collect(),
+            info,
+            open: vec![0; nodes],
             link_down: vec![false; topo.link_count()],
-            router_down: vec![false; topo.node_count()],
+            router_down: vec![false; nodes],
             change_seq: 0,
-            stamps: vec![0; topo.node_count()],
+            stamps: vec![0; nodes],
             row_stamps: vec![0; usize::from(topo.rows())],
+        };
+        for n in 0..nodes {
+            mesh.open[n] = mesh.open_mask(n);
         }
+        mesh
+    }
+
+    /// The open-port mask of router `n` recomputed from the link owners and
+    /// fault masks (see [`MeshState::open`]).
+    fn open_mask(&self, n: usize) -> u8 {
+        let info = &self.info[n];
+        (0..4).fold(0, |mask, d| {
+            let nb = usize::from(info.nbr[d]);
+            let open = nb < self.router_down.len()
+                && !self.router_down[nb]
+                && self.link_free(LinkId(info.link[d]));
+            mask | u8::from(open) << d
+        })
     }
 
     /// The current reservation-change sequence number (see
@@ -241,12 +301,19 @@ impl MeshState {
     /// verdict is only replayable while the observed region is unchanged in
     /// *either* direction (a freed link could un-block the walk; a newly
     /// reserved one would change its exploration and LFSR draws).
+    ///
+    /// It also recomputes the open-port mask of every stamped router, so
+    /// callers must pass every router whose mask the change can move: both
+    /// endpoints of each link whose owner or fault mask changed, and every
+    /// neighbor of a router whose fault mask changed.
     fn stamp_nodes(&mut self, nodes: &[NodeId]) {
         self.change_seq += 1;
         let seq = self.change_seq;
         for &n in nodes {
-            self.stamps[n.0 as usize] = seq;
-            self.row_stamps[usize::from(self.topo.row(n))] = seq;
+            let i = usize::from(n.0);
+            self.stamps[i] = seq;
+            self.row_stamps[usize::from(self.info[i].row)] = seq;
+            self.open[i] = self.open_mask(i);
         }
     }
 
@@ -342,9 +409,9 @@ impl MeshState {
         self.router_down[n.0 as usize] = down;
         let mut touched = [n; 5];
         let mut count = 1;
-        for d in Direction::ALL {
-            if let Some((nb, _)) = self.adj[n.0 as usize][d.index()] {
-                touched[count] = nb;
+        for nb in self.info[usize::from(n.0)].nbr {
+            if usize::from(nb) < self.info.len() {
+                touched[count] = NodeId(nb);
                 count += 1;
             }
         }
@@ -481,14 +548,16 @@ impl MeshState {
     }
 
     /// Venice's path reservation: routes a scout packet from `src` to `dst`
-    /// with the non-minimal fully-adaptive algorithm (Algorithm 1), reserving
-    /// links as it goes, backtracking in cancel mode when stuck, and bounding
-    /// revisits per router (livelock rule: at most 3 revisits, i.e. 4 entries).
+    /// with the non-minimal fully-adaptive algorithm (Algorithm 1),
+    /// backtracking in cancel mode when stuck, and bounding revisits per
+    /// router (livelock rule: at most 3 revisits, i.e. 4 entries).
     ///
     /// On success the path's links are left reserved for `packet_id` and the
     /// corresponding router-reservation-table rows are installed; the caller
-    /// later frees them with [`MeshState::release`]. On failure all tentative
-    /// reservations have been cancelled and the mesh is unchanged.
+    /// later frees them with [`MeshState::release`]. On failure the mesh is
+    /// unchanged: the walk keeps its tentative path in scratch and writes
+    /// links and rows only once it reaches `dst`, so a failed walk writes
+    /// nothing at all (no link, row, stamp or change-sequence bump).
     ///
     /// `lfsr` provides the 2-bit hardware tie-break between two minimal
     /// candidate ports.
@@ -515,6 +584,10 @@ impl MeshState {
     /// [`MeshState::scout_walk`] with the non-minimal misrouting stage made
     /// optional (`allow_misroute = false` restricts the scout to minimal
     /// ports plus backtracking — the ablation of §4.3's key technique).
+    ///
+    /// The packet must hold no circuit when it walks (checked in debug
+    /// builds): a router row of its own outside the tentative path would
+    /// block the hardware walk, and the scratch walk does not consult rows.
     pub fn scout_walk_opts(
         &mut self,
         packet_id: u8,
@@ -529,20 +602,32 @@ impl MeshState {
             usize::from(packet_id) < self.controllers,
             "packet id out of range"
         );
+        debug_assert!(
+            self.routers.iter().all(|t| t.entry(packet_id).is_none()),
+            "packet {packet_id} walks while holding router rows"
+        );
 
         // Reusable scratch: take the buffers out of `self` for the duration
-        // of the walk (the walk itself needs `&mut self` for reservations).
-        let mut entries = std::mem::take(&mut self.scout_entries);
+        // of the walk (a success installs the path through `&mut self`).
+        let mut visits = std::mem::take(&mut self.scout_visits);
         let mut stack = std::mem::take(&mut self.scout_stack);
         let result =
-            self.scout_walk_dfs(packet_id, src, dst, lfsr, allow_misroute, &mut entries, &mut stack);
-        self.scout_entries = entries;
+            self.scout_walk_dfs(packet_id, src, dst, lfsr, allow_misroute, &mut visits, &mut stack);
+        self.scout_visits = visits;
         self.scout_stack = stack;
         result
     }
 
     /// The DFS body of [`MeshState::scout_walk_opts`], operating on the
-    /// caller-provided scratch buffers.
+    /// caller-provided scratch buffers. Reads the mesh only; the one write
+    /// is [`MeshState::install_walk`] on success.
+    ///
+    /// A port is usable when its bit is set in the router's open mask (a
+    /// neighbor exists, the link is free, the neighbor is up), it has not
+    /// been tried from this frame, the neighbor is not on the tentative
+    /// path, and the neighbor is under the livelock entry cap. The last
+    /// test is kept apart: a port that fails only the cap marks the walk
+    /// `cap_pruned`.
     #[allow(clippy::too_many_arguments)]
     fn scout_walk_dfs(
         &mut self,
@@ -551,21 +636,25 @@ impl MeshState {
         dst: NodeId,
         lfsr: &mut Lfsr2,
         allow_misroute: bool,
-        entries: &mut Vec<u8>,
+        visits: &mut Vec<u8>,
         stack: &mut Vec<Frame>,
     ) -> Result<(ReservedPath, ScoutOutcome), ScoutFailure> {
         // Livelock bound: a scout may enter a router at most `1 + 3` times
         // (ports minus the entry port, per the paper's §4.3 footnote).
         const MAX_ENTRIES_PER_ROUTER: u8 = 4;
-        entries.clear();
-        entries.resize(self.topo.node_count(), 0);
-        entries[src.0 as usize] = 1;
+        const RIGHT: u8 = 1 << Direction::Right.index();
+        const UP: u8 = 1 << Direction::Up.index();
+        const DOWN: u8 = 1 << Direction::Down.index();
+        const LEFT: u8 = 1 << Direction::Left.index();
+        visits.clear();
+        visits.resize(self.info.len() + 1, 0);
+        visits[usize::from(src.0)] = ON_PATH | 1;
 
         stack.clear();
         stack.push(Frame {
-            node: src,
-            entry: Port::Injection,
-            tried: [false; 4],
+            node: src.0,
+            entry: INJECTION,
+            tried: 0,
         });
         let mut steps: u32 = 0;
         let mut detoured = false;
@@ -574,8 +663,9 @@ impl MeshState {
         let mut lfsr_draws: u32 = 0;
         let mut cap_pruned = false;
         // Bounding box of entered routers (the fast-fail cache's extent).
-        let (src_r, src_c) = (self.topo.row(src), self.topo.col(src));
-        let mut extent = (src_r, src_r, src_c, src_c);
+        let src_info = self.info[usize::from(src.0)];
+        let mut extent = (src_info.row, src_info.row, src_info.col, src_info.col);
+        let dst_info = self.info[usize::from(dst.0)];
         // Hard safety net: the DFS tries each (router, port) pair at most
         // once per episode, so steps are bounded; guard against logic bugs.
         let step_cap = (self.topo.node_count() as u32) * 16 + 64;
@@ -583,221 +673,169 @@ impl MeshState {
         loop {
             steps += 1;
             assert!(steps <= step_cap, "scout walk exceeded step bound");
-            let frame = stack.last().expect("stack never empties before return");
-            let cur = frame.node;
+            let top = stack.len() - 1;
+            let frame = stack[top];
+            if frame.node == dst.0 {
+                let outcome = ScoutOutcome {
+                    steps,
+                    detoured,
+                    misroutes,
+                    lfsr_draws,
+                };
+                return Ok((self.install_walk(packet_id, stack), outcome));
+            }
+            let cur = usize::from(frame.node);
+            let info = &self.info[cur];
+            debug_assert_eq!(self.open[cur], self.open_mask(cur), "stale open mask");
 
-            if cur == dst {
-                // Destination reached: install the ejection row and return.
-                self.routers[cur.0 as usize]
-                    .insert(packet_id, frame.entry, Port::Ejection)
-                    .expect("destination router row must be free");
-                let mut path = self.pooled_path(packet_id);
-                path.nodes.extend(stack.iter().map(|f| f.node));
-                // Each non-source frame's entry port names the link taken
-                // from its parent.
-                for (i, f) in stack.iter().enumerate().skip(1) {
-                    let Port::Mesh(entry_dir) = f.entry else {
-                        unreachable!("non-source frames enter on a mesh port")
-                    };
-                    let (nb, link) = self.adj[stack[i - 1].node.0 as usize]
-                        [entry_dir.opposite().index()]
-                    .expect("path steps are adjacent");
-                    debug_assert_eq!(nb, f.node);
-                    path.links.push(link);
+            // Minimal ports, Algorithm 1: one per axis that still differs.
+            // Row index grows downward, so a destination below means Down.
+            let horizontal = match dst_info.col.cmp(&info.col) {
+                std::cmp::Ordering::Greater => RIGHT,
+                std::cmp::Ordering::Less => LEFT,
+                std::cmp::Ordering::Equal => 0,
+            };
+            let vertical = match dst_info.row.cmp(&info.row) {
+                std::cmp::Ordering::Greater => DOWN,
+                std::cmp::Ordering::Less => UP,
+                std::cmp::Ordering::Equal => 0,
+            };
+            let minimal = horizontal | vertical;
+
+            // Neighbors on the tentative path (a circuit crosses a router
+            // once) and neighbors at the livelock entry cap.
+            let mut on_path = 0u8;
+            let mut at_cap = 0u8;
+            for (d, &nb) in info.nbr.iter().enumerate() {
+                let v = visits[usize::from(nb)];
+                on_path |= u8::from(v & ON_PATH != 0) << d;
+                at_cap |= u8::from(v & !ON_PATH >= MAX_ENTRIES_PER_ROUTER) << d;
+            }
+            let passable = self.open[cur] & !frame.tried & !on_path;
+            let usable = passable & !at_cap;
+            let capped = passable & at_cap;
+
+            cap_pruned |= capped & minimal != 0;
+            let candidates = usable & minimal;
+            let choice = if candidates != 0 {
+                if candidates.count_ones() == 2 {
+                    // Two minimal candidates: LFSR tie-break (Alg. 1 line
+                    // 28), horizontal first.
+                    lfsr_draws += 1;
+                    if lfsr.next_bit() {
+                        vertical
+                    } else {
+                        horizontal
+                    }
+                } else {
+                    candidates
                 }
-                self.stamp_nodes(&path.nodes);
-                return Ok((
-                    path,
-                    ScoutOutcome {
+            } else {
+                // No minimal port: misroute through any usable port (Alg. 1
+                // lines 34–45), picked pseudo-randomly in direction order.
+                let pool = if allow_misroute {
+                    cap_pruned |= capped != 0;
+                    usable
+                } else {
+                    0
+                };
+                if pool == 0 {
+                    0
+                } else {
+                    detoured = true;
+                    misroutes += 1;
+                    // Select with successive LFSR bits: cheap hardware
+                    // equivalent of a uniform pick among ≤ 4 options.
+                    lfsr_draws += 2;
+                    let hi = usize::from(lfsr.next_bit());
+                    let lo = usize::from(lfsr.next_bit());
+                    let mut rest = pool;
+                    for _ in 0..(hi * 2 + lo) % pool.count_ones() as usize {
+                        rest &= rest - 1;
+                    }
+                    rest & rest.wrapping_neg()
+                }
+            };
+
+            if choice != 0 {
+                let d = choice.trailing_zeros() as usize;
+                stack[top].tried |= choice;
+                let nb = info.nbr[d];
+                let slot = &mut visits[usize::from(nb)];
+                *slot = (*slot + 1) | ON_PATH;
+                advanced = true;
+                let nb_info = &self.info[usize::from(nb)];
+                extent = (
+                    extent.0.min(nb_info.row),
+                    extent.1.max(nb_info.row),
+                    extent.2.min(nb_info.col),
+                    extent.3.max(nb_info.col),
+                );
+                stack.push(Frame {
+                    node: nb,
+                    entry: 3 - d as u8, // Direction::opposite by index
+                    tried: 0,
+                });
+            } else {
+                // Dead end: backtrack in cancel mode (Alg. 1 line 47).
+                detoured = true;
+                let dead = stack.pop().expect("nonempty");
+                visits[usize::from(dead.node)] &= !ON_PATH;
+                if stack.is_empty() {
+                    // Scout arrived back at the controller: failure. The
+                    // walk wrote nothing, so no generation stamp moves —
+                    // that is what lets the fast-fail cache treat "stamps
+                    // unchanged" as "this exact failure replays".
+                    return Err(ScoutFailure {
                         steps,
-                        detoured,
+                        advanced,
                         misroutes,
                         lfsr_draws,
-                    },
-                ));
-            }
-
-            // Candidate output ports, Algorithm 1: minimal first.
-            let diff_x = i32::from(self.topo.col(dst)) - i32::from(self.topo.col(cur));
-            let diff_y = i32::from(self.topo.row(dst)) - i32::from(self.topo.row(cur));
-            let mut minimal: [Option<Direction>; 2] = [None, None];
-            let mut n_min = 0;
-            // Row index grows downward, so positive diff_y means Down.
-            let mut push_min = |d: Direction| {
-                minimal[n_min] = Some(d);
-                n_min += 1;
-            };
-            if diff_x > 0 {
-                push_min(Direction::Right);
-            } else if diff_x < 0 {
-                push_min(Direction::Left);
-            }
-            if diff_y > 0 {
-                push_min(Direction::Down);
-            } else if diff_y < 0 {
-                push_min(Direction::Up);
-            }
-
-            // Port usability, with the livelock-cap rejection reported
-            // separately: a cap rejection makes the walk's exploration
-            // order-dependent, which disqualifies its failure from the
-            // fast-fail cache (see `ScoutFailure::cap_pruned`).
-            #[derive(Clone, Copy, PartialEq, Eq)]
-            enum PortCheck {
-                Usable,
-                Blocked,
-                CapPruned,
-            }
-            let check = |state: &Self,
-                         frame: &Frame,
-                         entries: &[u8],
-                         d: Direction|
-             -> PortCheck {
-                if frame.tried[d.index()] {
-                    return PortCheck::Blocked;
-                }
-                let Some((nb, link)) = state.adj[cur.0 as usize][d.index()] else {
-                    return PortCheck::Blocked;
-                };
-                // Fault mask: a downed router is never entered (and
-                // `link_free` below already folds in downed links).
-                if state.router_down[nb.0 as usize] {
-                    return PortCheck::Blocked;
-                }
-                if !state.link_free(link) {
-                    return PortCheck::Blocked; // incl. our own partial path
-                }
-                // A circuit may cross a router only once (one table row per
-                // packet), and the livelock rule bounds re-entries.
-                if state.routers[nb.0 as usize].entry(packet_id).is_some() {
-                    return PortCheck::Blocked;
-                }
-                if entries[nb.0 as usize] >= MAX_ENTRIES_PER_ROUTER {
-                    return PortCheck::CapPruned;
-                }
-                PortCheck::Usable
-            };
-
-            let mut candidates: [Option<Direction>; 2] = [None, None];
-            let mut n_cand = 0;
-            for d in minimal.iter().flatten().copied() {
-                match check(self, frame, entries, d) {
-                    PortCheck::Usable => {
-                        candidates[n_cand] = Some(d);
-                        n_cand += 1;
-                    }
-                    PortCheck::CapPruned => cap_pruned = true,
-                    PortCheck::Blocked => {}
-                }
-            }
-
-            let choice = match n_cand {
-                2 => {
-                    // Two minimal candidates: LFSR tie-break (Alg. 1 line 28).
-                    lfsr_draws += 1;
-                    let pick = usize::from(lfsr.next_bit());
-                    Some(candidates[pick].expect("two candidates present"))
-                }
-                1 => Some(candidates[0].expect("one candidate present")),
-                _ => {
-                    // No minimal port: misroute through any free port
-                    // (Alg. 1 lines 34–45). Gather and pick pseudo-randomly.
-                    let mut non_min: [Option<Direction>; 4] = [None; 4];
-                    let mut n_non_min = 0usize;
-                    if allow_misroute {
-                        for d in Direction::ALL {
-                            match check(self, frame, entries, d) {
-                                PortCheck::Usable => {
-                                    non_min[n_non_min] = Some(d);
-                                    n_non_min += 1;
-                                }
-                                PortCheck::CapPruned => cap_pruned = true,
-                                PortCheck::Blocked => {}
-                            }
-                        }
-                    }
-                    if n_non_min == 0 {
-                        None
-                    } else {
-                        detoured = true;
-                        misroutes += 1;
-                        // Select with successive LFSR bits: cheap hardware
-                        // equivalent of a uniform pick among ≤ 4 options.
-                        lfsr_draws += 2;
-                        let mut idx = usize::from(lfsr.next_bit()) * 2
-                            + usize::from(lfsr.next_bit());
-                        idx %= n_non_min;
-                        Some(non_min[idx].expect("counted candidate"))
-                    }
-                }
-            };
-
-            match choice {
-                Some(dir) => {
-                    let frame = stack.last_mut().expect("nonempty");
-                    frame.tried[dir.index()] = true;
-                    let (nb, link) =
-                        self.adj[cur.0 as usize][dir.index()].expect("usable link exists");
-                    self.links[link.0 as usize] = Some(packet_id);
-                    self.routers[cur.0 as usize]
-                        .insert(packet_id, frame.entry, Port::Mesh(dir))
-                        .expect("row free: circuit visits a router once");
-                    entries[nb.0 as usize] += 1;
-                    advanced = true;
-                    let (r, c) = (self.topo.row(nb), self.topo.col(nb));
-                    extent = (
-                        extent.0.min(r),
-                        extent.1.max(r),
-                        extent.2.min(c),
-                        extent.3.max(c),
-                    );
-                    stack.push(Frame {
-                        node: nb,
-                        entry: Port::Mesh(dir.opposite()),
-                        tried: [false; 4],
+                        cap_pruned,
+                        extent,
                     });
-                }
-                None => {
-                    // Dead end: backtrack in cancel mode (Alg. 1 line 47).
-                    detoured = true;
-                    let dead = stack.pop().expect("nonempty");
-                    if stack.is_empty() {
-                        // Scout arrived back at the controller: failure.
-                        // The walk restored every link it touched, so no
-                        // generation stamp moves — that is what lets the
-                        // fast-fail cache treat "stamps unchanged" as "this
-                        // exact failure replays".
-                        return Err(ScoutFailure {
-                            steps,
-                            advanced,
-                            misroutes,
-                            lfsr_draws,
-                            cap_pruned,
-                            extent,
-                        });
-                    }
-                    let parent = stack.last().expect("nonempty after pop");
-                    // Cancel the parent's row and free the link we came over:
-                    // the dead frame's entry port names that link's far end.
-                    let Port::Mesh(entry_dir) = dead.entry else {
-                        unreachable!("non-source frames enter on a mesh port")
-                    };
-                    let (nb, link) = self.adj[parent.node.0 as usize]
-                        [entry_dir.opposite().index()]
-                    .expect("parent adjacent to dead end");
-                    debug_assert_eq!(nb, dead.node);
-                    debug_assert_eq!(self.links[link.0 as usize], Some(packet_id));
-                    self.links[link.0 as usize] = None;
-                    self.routers[parent.node.0 as usize].remove(packet_id);
                 }
             }
         }
+    }
+
+    /// Installs a successful walk's tentative path (`stack`, source first):
+    /// reserves every link for `packet_id`, installs one router row per
+    /// node (the destination's exits to the ejection port), and stamps the
+    /// path.
+    fn install_walk(&mut self, packet_id: u8, stack: &[Frame]) -> ReservedPath {
+        let mut path = self.pooled_path(packet_id);
+        for (i, f) in stack.iter().enumerate() {
+            let node = usize::from(f.node);
+            let entry = match f.entry {
+                INJECTION => Port::Injection,
+                d => Port::Mesh(Direction::ALL[usize::from(d)]),
+            };
+            let exit = match stack.get(i + 1) {
+                Some(next) => {
+                    let d = usize::from(3 - next.entry);
+                    let link = self.info[node].link[d];
+                    debug_assert!(self.link_free(LinkId(link)));
+                    self.links[link as usize] = Some(packet_id);
+                    path.links.push(LinkId(link));
+                    Port::Mesh(Direction::ALL[d])
+                }
+                None => Port::Ejection,
+            };
+            self.routers[node]
+                .insert(packet_id, entry, exit)
+                .expect("row free: a circuit crosses a router once");
+            path.nodes.push(NodeId(f.node));
+        }
+        self.stamp_nodes(&path.nodes);
+        path
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::ReservationEntry;
 
     fn mesh(rows: u16, cols: u16) -> MeshState {
         MeshState::new(Mesh2D::new(rows, cols), rows as usize)
@@ -1163,6 +1201,126 @@ mod tests {
             .unwrap();
         assert_eq!(p.hops(), 3);
         m.release(&p);
+    }
+
+    /// Folds `v` into the FNV-1a hash `h`, little-endian byte by byte.
+    fn fold(h: u64, v: u64) -> u64 {
+        v.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Everything a failed walk must leave untouched: link owners, router
+    /// rows, generation stamps and the change sequence.
+    type MeshSnapshot = (Vec<Option<u8>>, Vec<Vec<ReservationEntry>>, Vec<u64>, Vec<u64>, u64);
+
+    fn snapshot(m: &MeshState) -> MeshSnapshot {
+        let topo = m.topology();
+        (
+            (0..topo.link_count() as u32).map(|l| m.link_owner(LinkId(l))).collect(),
+            (0..topo.node_count() as u16)
+                .map(|n| m.router(NodeId(n)).iter().copied().collect())
+                .collect(),
+            (0..topo.node_count() as u16).map(|n| m.node_stamp(NodeId(n))).collect(),
+            m.row_stamps.clone(),
+            m.change_seq(),
+        )
+    }
+
+    /// One randomized walk for `packet`: random source, destination, LFSR
+    /// phase and misroute setting. Folds the outcome into `h`, asserts that
+    /// a failure wrote nothing, and returns the reserved path on success.
+    fn pinned_walk(
+        m: &mut MeshState,
+        rng: &mut venice_sim::rng::Xorshift64Star,
+        h: &mut u64,
+        tally: &mut [u32; 3],
+        packet: u8,
+    ) -> Option<ReservedPath> {
+        let n = m.topology().node_count() as u64;
+        let src = NodeId(rng.next_bounded(n) as u16);
+        let dst = NodeId(rng.next_bounded(n) as u16);
+        let mut lfsr = Lfsr2::with_seed(1 + rng.next_bounded(3) as u8);
+        let allow_misroute = rng.next_bool(0.85);
+        let before = snapshot(m);
+        match m.scout_walk_opts(packet, src, dst, &mut lfsr, allow_misroute) {
+            Ok((path, out)) => {
+                tally[0] += 1;
+                for v in [0, out.steps, out.misroutes, out.lfsr_draws, u32::from(out.detoured)] {
+                    *h = fold(*h, u64::from(v));
+                }
+                for (&node, &link) in path.nodes.iter().zip(path.links.iter().chain([&LinkId(u32::MAX)])) {
+                    *h = fold(*h, (u64::from(node.0) << 32) | u64::from(link.0));
+                }
+                Some(path)
+            }
+            Err(f) => {
+                tally[1] += 1;
+                tally[2] += u32::from(f.cap_pruned);
+                let (r0, r1, c0, c1) = f.extent;
+                for v in [
+                    1,
+                    u64::from(f.steps),
+                    u64::from(f.misroutes),
+                    u64::from(f.lfsr_draws),
+                    u64::from(f.cap_pruned),
+                    u64::from(f.advanced),
+                    u64::from(r0) | u64::from(r1) << 16 | u64::from(c0) << 32 | u64::from(c1) << 48,
+                ] {
+                    *h = fold(*h, v);
+                }
+                assert_eq!(snapshot(m), before, "a failed walk must write nothing");
+                None
+            }
+        }
+    }
+
+    #[test]
+    fn randomized_walks_match_the_pinned_hash() {
+        // Pins every walk bit for bit (verdict, steps, misroutes, LFSR
+        // draws, cap pruning, advanced, extent, and the reserved path) on
+        // 8×8, 16×16 and 32×32 meshes with random circuits, downed links and
+        // routers, sources, destinations, LFSR phases and misroute settings.
+        // The constant was computed on the walk that reserved links as it
+        // went; any rewrite of the DFS must reproduce it exactly.
+        const PINNED: u64 = 0xade8_7f3f_67b5_e3d6;
+        let mut rng = venice_sim::rng::Xorshift64Star::new(0x5C07_u64);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut tally = [0u32; 3];
+        for (side, meshes, walks) in [(8u16, 24, 40), (16, 10, 40), (32, 4, 40)] {
+            for _ in 0..meshes {
+                let topo = Mesh2D::new(side, side);
+                let n = topo.node_count() as u64;
+                let mut m = MeshState::new(topo, usize::from(side));
+                for _ in 0..rng.next_bounded(topo.link_count() as u64 / 8 + 1) {
+                    let a = NodeId(rng.next_bounded(n) as u16);
+                    let d = Direction::ALL[rng.next_bounded(4) as usize];
+                    if let Some(b) = topo.neighbor(a, d) {
+                        m.set_link_state(a, b, false);
+                    }
+                }
+                for _ in 0..rng.next_bounded(3) {
+                    m.set_router_state(NodeId(rng.next_bounded(n) as u16), false);
+                }
+                // Every packet but 0 starts with a circuit attempt; then
+                // random packets release and walk again, so the walks under
+                // test see a churning, congested mesh.
+                let mut live: Vec<Option<ReservedPath>> = vec![None];
+                for p in 1..side as u8 {
+                    live.push(pinned_walk(&mut m, &mut rng, &mut h, &mut tally, p));
+                }
+                for _ in 0..walks {
+                    let p = rng.next_bounded(u64::from(side)) as usize;
+                    if let Some(path) = live[p].take() {
+                        m.release_owned(path);
+                    }
+                    live[p] = pinned_walk(&mut m, &mut rng, &mut h, &mut tally, p as u8);
+                }
+            }
+        }
+        let [ok, failed, capped] = tally;
+        assert!(ok > 0 && failed > 0 && capped > 0, "tally {tally:?}");
+        assert_eq!(h, PINNED, "walk hash 0x{h:016x} (ok {ok}, failed {failed}, capped {capped})");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! [`FailedWalk`] — the walk's frontier extent, a snapshot of the mesh's
 //! reservation-change sequence, and the failure's observable outputs
 //! (steps, misroutes, LFSR draws, the advanced/source-blocked verdict) — in
-//! a dense per-`(controller, destination)` slot. The next attempt for the
+//! a per-`(controller, destination)` slot, allocated the first time the
+//! pair fails. The next attempt for the
 //! same pair consults the slot: while every router in the extent still
 //! carries a generation stamp ≤ the snapshot
 //! ([`crate::mesh::MeshState::region_changed_since`]), the mesh is
@@ -192,14 +193,15 @@ impl ScoutPacket {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ScoutCacheKind {
     /// No cache: every acquisition attempt runs the full scout walk (the
-    /// pre-cache engine, and the default).
-    #[default]
+    /// pre-cache engine). Kept as the lockstep reference that `Checked`
+    /// and the property tests compare the cache against.
     Off,
-    /// Fast-fail from valid cache entries without re-running the DFS.
-    /// Simulated behavior is bit-identical to `Off` (verdicts, conflict
-    /// accounting, scout-step stats, and the LFSR stream all replay); only
-    /// the new `scout_fastfails` / `scout_cache_invalidations` effort
-    /// counters differ.
+    /// Fast-fail from valid cache entries without re-running the DFS (the
+    /// default). Simulated behavior is bit-identical to `Off` (verdicts,
+    /// conflict accounting, scout-step stats, and the LFSR stream all
+    /// replay); only the `scout_fastfails` / `scout_cache_invalidations`
+    /// effort counters differ.
+    #[default]
     On,
     /// Run the full walk *alongside* every cache verdict and assert the two
     /// agree (verdict, steps, misroutes, LFSR draws) — the randomized
@@ -270,14 +272,22 @@ pub struct FailedWalk {
     pub cap_pruned: bool,
 }
 
-/// The generation-stamped scout fast-fail cache: one dense slot per
-/// `(controller, destination chip)` pair, with one sub-entry per LFSR
-/// phase — slab/dense storage per the workspace's hot-path rule, no hash
-/// maps.
+/// The generation-stamped scout fast-fail cache: one slot per
+/// `(controller, destination chip)` pair that has recorded a failure, with
+/// one sub-entry per LFSR phase.
+///
+/// Storage is sparse but hash-free, per the workspace's hot-path rule: a
+/// dense `u32` index per pair (zero-initialised, so untouched pages cost no
+/// memory) points into a pool of slots that grows on
+/// [`ScoutCache::record`]. Only the pairs that ever fail take a slot — on a
+/// 32×32 mesh a dense slot table would be ≈3 MiB, most of it never touched.
 #[derive(Clone, Debug)]
 pub struct ScoutCache {
     nodes: usize,
-    /// `slots[fc * nodes + dst][phase - 1]`.
+    /// `index[fc * nodes + dst]`: 0 for a pair without a slot, else its
+    /// position in `slots` plus one.
+    index: Vec<u32>,
+    /// `slots[index - 1][phase - 1]`.
     slots: Vec<[Option<FailedWalk>; 3]>,
     /// Entries dropped because a reservation change intersected their
     /// extent (the `scout_cache_invalidations` stat).
@@ -290,14 +300,21 @@ impl ScoutCache {
     pub fn new(controllers: usize, nodes: usize) -> Self {
         ScoutCache {
             nodes,
-            slots: vec![[None; 3]; controllers * nodes],
+            index: vec![0; controllers * nodes],
+            slots: Vec::new(),
             invalidations: 0,
         }
     }
 
     #[inline]
-    fn idx(&self, fc: FcId, dst: NodeId) -> usize {
+    fn pair(&self, fc: FcId, dst: NodeId) -> usize {
         usize::from(fc.0) * self.nodes + usize::from(dst.0)
+    }
+
+    /// The pool position of the pair's slot, if it has one.
+    #[inline]
+    fn slot(&self, fc: FcId, dst: NodeId) -> Option<usize> {
+        (self.index[self.pair(fc, dst)] as usize).checked_sub(1)
     }
 
     /// Consults the cache for an attempt from controller `fc` to `dst`
@@ -314,7 +331,7 @@ impl ScoutCache {
         mesh: &MeshState,
     ) -> Option<FailedWalk> {
         debug_assert!((1..=3).contains(&phase), "2-bit LFSR state is 1..=3");
-        let idx = self.idx(fc, dst);
+        let idx = self.slot(fc, dst)?;
         let own = usize::from(phase - 1);
         // Own-phase sub-entry first (always usable), then the other two
         // (usable only when cap-free). Entries this attempt could not use
@@ -346,7 +363,12 @@ impl ScoutCache {
     /// Records a failed walk for the pair under the phase it started from.
     pub fn record(&mut self, fc: FcId, dst: NodeId, walk: FailedWalk) {
         debug_assert!((1..=3).contains(&walk.phase));
-        let idx = self.idx(fc, dst);
+        let pair = self.pair(fc, dst);
+        if self.index[pair] == 0 {
+            self.slots.push([None; 3]);
+            self.index[pair] = u32::try_from(self.slots.len()).expect("slot pool fits u32");
+        }
+        let idx = self.index[pair] as usize - 1;
         self.slots[idx][usize::from(walk.phase - 1)] = Some(walk);
     }
 
@@ -358,7 +380,8 @@ impl ScoutCache {
 
     /// The entry cached for a pair at `phase`, if any (diagnostics/tests).
     pub fn entry(&self, fc: FcId, dst: NodeId, phase: u8) -> Option<FailedWalk> {
-        self.slots[self.idx(fc, dst)][usize::from(phase - 1)]
+        self.slot(fc, dst)
+            .and_then(|idx| self.slots[idx][usize::from(phase - 1)])
     }
 
     /// Number of live entries (diagnostics/tests).
@@ -454,7 +477,42 @@ mod tests {
             Some(ScoutCacheKind::Checked)
         );
         assert_eq!(ScoutCacheKind::by_label("warp"), None);
-        assert_eq!(ScoutCacheKind::default(), ScoutCacheKind::Off);
+        assert_eq!(ScoutCacheKind::default(), ScoutCacheKind::On);
+    }
+
+    #[test]
+    fn slots_are_allocated_only_for_recorded_pairs() {
+        use crate::Mesh2D;
+        let mesh = MeshState::new(Mesh2D::new(32, 32), 32);
+        let mut cache = ScoutCache::new(32, 1024);
+        // The pair index is all zeros and the slot pool empty until a
+        // failure is recorded: a fresh cache holds no per-pair entries.
+        assert!(cache.index.iter().all(|&i| i == 0));
+        assert!(cache.slots.is_empty());
+        let (fc, dst) = (FcId(31), NodeId(1023));
+        assert_eq!(cache.lookup(fc, dst, 1, &mesh), None);
+        assert_eq!(cache.entry(fc, dst, 1), None);
+        let walk = FailedWalk {
+            extent: (0, 31, 0, 31),
+            seq: mesh.change_seq(),
+            steps: 3000,
+            misroutes: 120,
+            lfsr_draws: 250,
+            advanced: true,
+            phase: 3,
+            cap_pruned: true,
+        };
+        cache.record(fc, dst, walk);
+        assert_eq!(cache.slots.len(), 1, "one slot for the one recorded pair");
+        assert_eq!(cache.entry(fc, dst, 3), Some(walk));
+        assert_eq!(cache.lookup(fc, dst, 3, &mesh), Some(walk));
+        // The other phases of the pair share its slot; other pairs stay
+        // unallocated.
+        cache.record(fc, dst, FailedWalk { phase: 1, ..walk });
+        assert_eq!(cache.slots.len(), 1);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entry(FcId(30), dst, 3), None);
+        assert_eq!(cache.entry(fc, NodeId(1022), 3), None);
     }
 
     #[test]

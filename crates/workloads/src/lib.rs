@@ -5,8 +5,9 @@
 //! Cambridge, YCSB, Slacker, SYSTOR '17, YCSB-RocksDB — its Table 2) plus
 //! six mixed workloads (Table 3). The raw trace files are external
 //! artifacts, so this crate generates deterministic synthetic traces whose
-//! published first-order statistics match Table 2 exactly; see
-//! [`WorkloadSpec`] and DESIGN.md for the substitution rationale.
+//! published first-order statistics match Table 2 exactly (see
+//! [`WorkloadSpec`] for the knobs, and the `synth` module docs for why
+//! these statistics are the ones that drive path conflicts).
 //!
 //! * [`catalog`] — the nineteen named workloads with calibrated specs,
 //! * [`mix`] — the six Table 3 mixes (partitioned address space, merged and

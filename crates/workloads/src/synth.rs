@@ -7,7 +7,7 @@
 //! knobs (footprint, Zipfian skew, sequential fraction) chosen per workload
 //! class. Path conflicts are driven by arrival intensity versus service rate
 //! and by which chips requests touch, both of which these statistics govern —
-//! see DESIGN.md for the substitution rationale.
+//! see the crate docs (`lib.rs`) for the substitution rationale.
 
 use venice_sim::rng::{Xorshift64Star, ZipfSampler};
 use venice_sim::{SimDuration, SimTime};
