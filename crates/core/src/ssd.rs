@@ -361,6 +361,8 @@ pub struct SsdSim {
     /// Per-chip FIFO of read transactions whose data awaits a path out.
     data_pending: Vec<VecDeque<TxnId>>,
     /// Dies claimed by an in-flight operation, indexed `chip * dies + die`.
+    /// Written only through [`SsdSim::set_die_busy`], which keeps
+    /// `visitable` exact.
     die_busy: Vec<bool>,
     migrations: Vec<Option<MigrationState>>,
     free_migrations: Vec<usize>,
@@ -378,6 +380,12 @@ pub struct SsdSim {
     /// Physical pages allocated but not yet programmed: reads of these are
     /// served from the controller's write buffer without touching flash.
     pending_programs: BitSet,
+    /// Pages whose program failed before reaching the array while an
+    /// earlier page of the same block was still unprogrammed. Each is
+    /// skipped once its block's write pointer reaches it (see
+    /// [`SsdSim::skip_program_holes`]). Empty unless a fault fails queued
+    /// writes.
+    program_holes: Vec<PhysicalPageAddr>,
     /// Reads served from the write buffer.
     buffer_hits: u64,
     /// Host-write pages deferred because every plane is down to its GC
@@ -394,6 +402,13 @@ pub struct SsdSim {
     /// burst arrival and drain so incremental dispatch rounds visit only
     /// these chips instead of walking every chip.
     data_ready: DenseBitSet,
+    /// Chips a command-pass visit can act on: a chip with a free die, a
+    /// dead chip (its queued work drains at visit time), or — with
+    /// resilience armed — every chip (an aborted read drains at visit time
+    /// even behind a busy die). Any other chip's visit ends at its busy
+    /// head die having changed nothing, so the incremental command pass
+    /// visits only busy chips in this set.
+    visitable: DenseBitSet,
     /// Parked-until-controller-free: set when a dispatch round ended on
     /// [`AcquireError::NoFreeController`] (a pooled fabric's controllers
     /// are all mid-transfer, so *no* acquisition can succeed); dispatch
@@ -554,6 +569,11 @@ impl SsdSim {
         let dies_per_chip = config.array.chip.dies as usize;
         let total_blocks = config.array.total_blocks() as usize;
         let total_planes = config.array.total_planes() as usize;
+        // Every die starts free, so every chip starts visitable.
+        let mut visitable = DenseBitSet::with_capacity(chip_count);
+        for c in 0..chip_count {
+            visitable.insert(c);
+        }
         SsdSim {
             fabric: build_fabric(kind, config.fabric),
             chips,
@@ -578,6 +598,7 @@ impl SsdSim {
             block_users: vec![0; total_blocks],
             blocked_erases: Vec::new(),
             pending_programs: BitSet::with_capacity(physical),
+            program_holes: Vec::new(),
             buffer_hits: 0,
             throttled_writes: VecDeque::new(),
             wear_job_active: false,
@@ -586,6 +607,7 @@ impl SsdSim {
             dispatch_cursor: 0,
             policy: PolicyState::new(config.dispatch, kind, chip_count),
             data_ready: DenseBitSet::with_capacity(chip_count),
+            visitable,
             parked_on_controllers: false,
             busy_scratch: Vec::new(),
             data_scratch: Vec::new(),
@@ -704,6 +726,7 @@ impl SsdSim {
                     && self.rebuild_pending.is_empty(),
                 "simulation drained its event queue with work still outstanding"
             );
+            debug_assert!(self.program_holes.is_empty(), "a program hole was never skipped");
             assert_eq!(
                 self.completed + self.shed_requests,
                 self.trace.len() as u64,
@@ -1358,6 +1381,27 @@ impl SsdSim {
         usize::from(p.chip.0) * self.config.array.chip.dies as usize + p.addr.die as usize
     }
 
+    /// Claims or frees a die. The only writer of `die_busy`, so the
+    /// `visitable` set stays exact.
+    fn set_die_busy(&mut self, die: usize, busy: bool) {
+        self.die_busy[die] = busy;
+        self.refresh_visitable(die / self.config.array.chip.dies as usize);
+    }
+
+    /// Re-derives `chip`'s membership in `visitable` from its dies, its
+    /// death count and the resilience mode.
+    fn refresh_visitable(&mut self, chip: usize) {
+        let dies = self.config.array.chip.dies as usize;
+        if self.resilience_mode
+            || self.chip_dead[chip] > 0
+            || self.die_busy[chip * dies..(chip + 1) * dies].contains(&false)
+        {
+            self.visitable.insert(chip);
+        } else {
+            self.visitable.remove(chip);
+        }
+    }
+
     /// Marks one user of `target`'s block as drained, releasing any erase
     /// waiting on that block.
     fn release_block_user(&mut self, now: SimTime, target: PhysicalPageAddr) {
@@ -1518,6 +1562,7 @@ impl SsdSim {
     /// radius (the chip is merely unreachable until repair).
     fn kill_chip(&mut self, now: SimTime, chip: usize, permanent: bool) {
         self.chip_dead[chip] += 1;
+        self.visitable.insert(chip);
         if permanent {
             self.media_dead[chip] = true;
             if self.redundancy_mode {
@@ -1538,7 +1583,7 @@ impl SsdSim {
             }
             while let Some(txn_id) = self.data_pending[chip].pop_front() {
                 let die = self.die_key(self.slot(txn_id).txn.target);
-                self.die_busy[die] = false;
+                self.set_die_busy(die, false);
                 self.fail_txn(now, txn_id);
             }
         }
@@ -1552,13 +1597,18 @@ impl SsdSim {
     /// a dead chip's queues were drained, so new work wakes the ready sets.
     fn revive_chip(&mut self, chip: usize) {
         self.chip_dead[chip] = self.chip_dead[chip].saturating_sub(1);
+        self.refresh_visitable(chip);
     }
 
     /// Completes a transaction with error status: the owning request (if
     /// any) is marked failed but still completes, and migration bookkeeping
     /// advances normally — a degraded run must never strand the calendar.
     fn fail_txn(&mut self, now: SimTime, txn_id: TxnId) {
+        let never_started = self.slot(txn_id).phase == Phase::Queued;
         let (txn, migration) = self.free_txn(txn_id);
+        if never_started && txn.kind.is_write() {
+            self.note_unprogrammed(txn.target);
+        }
         if let Some(req) = txn.request {
             let st = &mut self.requests[req.0 as usize];
             if st.live {
@@ -1566,6 +1616,36 @@ impl SsdSim {
             }
         }
         self.complete_txn(now, txn, migration);
+    }
+
+    /// Records an allocated page whose program will never reach the array
+    /// (its write failed while queued, or a rebuild abandoned it). Pages
+    /// are allocated in block order, so the page must be skipped, or the
+    /// block's next program would break the chip's in-order write pointer
+    /// once the chip is reachable again.
+    fn note_unprogrammed(&mut self, page: PhysicalPageAddr) {
+        self.program_holes.push(page);
+        self.skip_program_holes(page);
+    }
+
+    /// Skips every hole that sits at the write pointer of `at`'s block, one
+    /// after another. Runs when a hole is recorded and after each program
+    /// starts, so a hole is skipped as soon as every earlier page of its
+    /// block has been programmed or skipped.
+    fn skip_program_holes(&mut self, at: PhysicalPageAddr) {
+        let chip = &mut self.chips[usize::from(at.chip.0)];
+        loop {
+            let next = PageAddr { page: chip.write_pointer(at.addr), ..at.addr };
+            let Some(i) = self
+                .program_holes
+                .iter()
+                .position(|h| h.chip == at.chip && h.addr == next)
+            else {
+                return;
+            };
+            self.program_holes.swap_remove(i);
+            chip.skip_page(next);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1881,6 +1961,7 @@ impl SsdSim {
                         break;
                     }
                     // Dead-plane allocation: superseded by the next attempt.
+                    self.note_unprogrammed(target);
                 }
                 Err(venice_ftl::FtlError::OutOfSpace) => break,
                 Err(e) => panic!("rebuild write failed: {e}"),
@@ -1976,7 +2057,7 @@ impl SsdSim {
                     // (mirrors `kill_chip` for bursts queued post-death).
                     while let Some(txn_id) = self.data_pending[c].pop_front() {
                         let die = self.die_key(self.slot(txn_id).txn.target);
-                        self.die_busy[die] = false;
+                        self.set_die_busy(die, false);
                         self.fail_txn(now, txn_id);
                     }
                     self.data_ready.remove(c);
@@ -1996,7 +2077,7 @@ impl SsdSim {
                             self.data_ready.remove(c);
                         }
                         let die = self.die_key(self.slot(txn_id).txn.target);
-                        self.die_busy[die] = false;
+                        self.set_die_busy(die, false);
                         self.fail_txn(now, txn_id);
                         continue;
                     }
@@ -2028,7 +2109,7 @@ impl SsdSim {
                                 self.data_ready.remove(c);
                             }
                             let die = self.die_key(self.slot(txn_id).txn.target);
-                            self.die_busy[die] = false;
+                            self.set_die_busy(die, false);
                             self.fail_txn(now, txn_id);
                         }
                         Err(e) => {
@@ -2052,25 +2133,42 @@ impl SsdSim {
     /// Command (and command+data) bursts for queued transactions. Returns
     /// true when the fabric ran out of controllers.
     ///
-    /// The busy-chip list is in ascending chip-id order and the rotation
-    /// start is `cursor % busy.len()`, so the list must contain *every*
-    /// chip with queued work — including chips whose head die is busy (they
-    /// cost one peek) — or the rotation would drift between engines.
-    /// Incrementally the list comes from the TSU's busy set (O(busy));
-    /// the retained full scan walks every chip's queues. Identical output.
+    /// The rotation start is `cursor % busy.len()` over *every* chip with
+    /// queued work (the busy list, ascending chip ids), so the busy-list
+    /// length never depends on which chips can act. The full scan walks
+    /// every chip's queues and visits the whole rotated list. Incrementally
+    /// the start chip is the TSU busy set's `nth` member, and the pass
+    /// visits only busy chips that are also `visitable`, circularly from
+    /// there: a skipped chip's visit would have peeked its head, found the
+    /// die busy and stopped with nothing changed. Identical output.
     fn dispatch_command_bursts(&mut self, now: SimTime, home_only: bool) -> bool {
-        let mut busy = std::mem::take(&mut self.busy_scratch);
+        let mut visit = std::mem::take(&mut self.busy_scratch);
         match self.config.scan {
-            DispatchScanKind::Incremental => self.tsu.busy_chips_into(&mut busy),
-            DispatchScanKind::FullScan => self.tsu.busy_chips_scan_into(&mut busy),
+            DispatchScanKind::Incremental => {
+                let busy = self.tsu.busy_set();
+                match busy.nth(self.dispatch_cursor % busy.len().max(1)) {
+                    Some(first) => busy.collect_masked_from(first, &self.visitable, &mut visit),
+                    None => visit.clear(),
+                }
+                #[cfg(debug_assertions)]
+                for c in busy.iter().filter(|&c| !self.visitable.contains(c)) {
+                    let head = self.tsu.peek(c as u16).expect("busy chips have a head");
+                    debug_assert!(
+                        self.die_busy[self.die_key(head.target)]
+                            && self.chip_dead[c] == 0
+                            && !self.resilience_mode,
+                        "chip {c} skipped although its visit could act"
+                    );
+                }
+            }
+            DispatchScanKind::FullScan => {
+                self.tsu.busy_chips_scan_into(&mut visit);
+                let start = self.dispatch_cursor % visit.len().max(1);
+                visit.rotate_left(start);
+            }
         }
         let ran_out = 'out: {
-            if busy.is_empty() {
-                break 'out false;
-            }
-            let start = self.dispatch_cursor % busy.len();
-            for off in 0..busy.len() {
-                let c = busy[(start + off) % busy.len()];
+            for &c in &visit {
                 if self.chip_dead[usize::from(c)] > 0 {
                     // Work arrived for a chip after its death (fault handling
                     // spawns follow-on transactions): fail it at visit time.
@@ -2112,7 +2210,7 @@ impl SsdSim {
                             self.policy.note_success(c);
                             let txn = self.tsu.pop(c).expect("peeked");
                             debug_assert_eq!(txn.id, txn_id);
-                            self.die_busy[die] = true;
+                            self.set_die_busy(die, true);
                             // Writes ship command + page data in one forward
                             // burst; reads and erases ship the command only.
                             let bytes = if txn_kind.is_write() {
@@ -2146,7 +2244,7 @@ impl SsdSim {
             }
             false
         };
-        self.busy_scratch = busy;
+        self.busy_scratch = visit;
         ran_out
     }
 
@@ -2187,6 +2285,14 @@ impl SsdSim {
         let done = self.chips[usize::from(txn.target.chip.0)]
             .start(kind, &[txn.target.addr], now)
             .unwrap_or_else(|e| panic!("chip rejected {txn:?}: {e}"));
+        if kind == NandCommandKind::Program && !self.program_holes.is_empty() {
+            self.skip_program_holes(txn.target);
+        }
+        debug_assert!(
+            kind != NandCommandKind::Erase
+                || !self.program_holes.iter().any(|&h| self.block_key(h) == self.block_key(txn.target)),
+            "an erased block kept a program hole"
+        );
         self.queue.schedule(done, Event::ChipOpDone(txn_id));
         self.schedule_dispatch(now);
     }
@@ -2199,7 +2305,7 @@ impl SsdSim {
             // The chip died mid-array-op: fail-stop at the command boundary
             // (the op's result is lost; the die frees for post-repair use).
             let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
+            self.set_die_busy(die, false);
             self.fail_txn(now, txn_id);
             self.schedule_dispatch(now);
             return;
@@ -2209,7 +2315,7 @@ impl SsdSim {
             // boundary, exactly like a chip death — the result is discarded
             // and the die frees for the next transaction.
             let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
+            self.set_die_busy(die, false);
             self.fail_txn(now, txn_id);
             self.schedule_dispatch(now);
             return;
@@ -2236,7 +2342,7 @@ impl SsdSim {
             self.data_ready.insert(usize::from(txn.target.chip.0));
         } else {
             let die = self.die_key(txn.target);
-            self.die_busy[die] = false;
+            self.set_die_busy(die, false);
             let (txn, migration) = self.free_txn(txn_id);
             self.complete_txn(now, txn, migration);
         }
@@ -2251,7 +2357,7 @@ impl SsdSim {
         self.note_release(&released);
         let (txn, migration) = self.free_txn(txn_id);
         let die = self.die_key(txn.target);
-        self.die_busy[die] = false;
+        self.set_die_busy(die, false);
         self.complete_txn(now, txn, migration);
         self.schedule_dispatch(now);
     }

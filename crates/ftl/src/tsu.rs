@@ -219,7 +219,7 @@ impl TransactionScheduler {
 
     /// Iterates over chips that have at least one queued transaction, by
     /// linearly scanning every chip's queues (O(chips)). Retained as the
-    /// reference for [`TransactionScheduler::busy_chips_into`] — the
+    /// reference for [`TransactionScheduler::busy_set`] — the
     /// full-scan dispatcher and the randomized cross-checks use it.
     pub fn busy_chips(&self) -> impl Iterator<Item = u16> + '_ {
         self.chips
@@ -229,19 +229,16 @@ impl TransactionScheduler {
             .map(|(i, _)| i as u16)
     }
 
-    /// Collects the busy chips into `out` (cleared first), in ascending
-    /// chip-id order, without allocating in steady state — the dispatcher's
-    /// per-round scratch buffer keeps its capacity across calls.
-    ///
-    /// Backed by the incrementally maintained busy set, so the cost is
-    /// O(words + busy chips) rather than a scan of every chip; the output
-    /// is bit-identical to collecting [`TransactionScheduler::busy_chips`].
-    pub fn busy_chips_into(&self, out: &mut Vec<u16>) {
-        self.busy_set.collect_into_from(0, out);
+    /// The chips with at least one queued transaction, as the incrementally
+    /// maintained set (ascending iteration, O(1) `len`). Its members are
+    /// exactly what [`TransactionScheduler::busy_chips`] scans for; the
+    /// dispatcher rotates over it and intersects it with its own sets.
+    pub fn busy_set(&self) -> &DenseBitSet {
+        &self.busy_set
     }
 
-    /// [`TransactionScheduler::busy_chips_into`] via the linear reference
-    /// scan (O(chips)). The retained full-scan dispatcher uses this so the
+    /// Collects [`TransactionScheduler::busy_chips`] into `out` (cleared
+    /// first) via the linear reference scan (O(chips)). The retained full-scan dispatcher uses this so the
     /// incremental engine can be cross-checked against an implementation
     /// that shares none of its ready-set bookkeeping.
     pub fn busy_chips_scan_into(&self, out: &mut Vec<u16>) {
@@ -325,9 +322,7 @@ mod tests {
         );
         assert_eq!(tsu.pending_for(0), 0);
         assert_eq!(tsu.pending(), 1);
-        let mut busy = Vec::new();
-        tsu.busy_chips_into(&mut busy);
-        assert_eq!(busy, [1]);
+        assert_eq!(tsu.busy_set().iter().collect::<Vec<_>>(), [1]);
         // Draining an already-empty chip is a no-op.
         tsu.drain_chip_into(0, &mut out);
         assert!(out.is_empty());
@@ -411,10 +406,11 @@ mod tests {
         // collection to stay bit-identical to the O(chips) reference scan.
         let mut tsu = TransactionScheduler::new(16);
         let check = |tsu: &TransactionScheduler| {
-            let (mut fast, mut slow) = (Vec::new(), Vec::new());
-            tsu.busy_chips_into(&mut fast);
+            let mut slow = Vec::new();
             tsu.busy_chips_scan_into(&mut slow);
+            let fast: Vec<u16> = tsu.busy_set().iter().map(|c| c as u16).collect();
             assert_eq!(fast, slow);
+            assert_eq!(tsu.busy_set().len(), slow.len());
         };
         for (id, chip) in [(1u64, 9u16), (2, 3), (3, 9), (4, 15), (5, 0)] {
             tsu.enqueue(txn(id, TxnKind::UserRead, chip), at(id));
@@ -424,10 +420,7 @@ mod tests {
             tsu.pop(chip);
             check(&tsu);
         }
-        assert!(tsu.is_empty());
-        let mut out = vec![7u16];
-        tsu.busy_chips_into(&mut out);
-        assert!(out.is_empty(), "collection clears the buffer");
+        assert!(tsu.is_empty() && tsu.busy_set().is_empty());
         // requeue_front re-marks an emptied chip as busy.
         let head = txn(9, TxnKind::UserWrite, 5);
         tsu.requeue_front(head, at(1));

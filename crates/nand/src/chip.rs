@@ -305,6 +305,26 @@ impl FlashChip {
         Ok(done)
     }
 
+    /// Skips the erased page at `addr`, which must sit at its block's write
+    /// pointer: a program that was allocated but never reached the array
+    /// (its chip became unreachable first). The page stays unwritten and
+    /// the write pointer moves past it, so the block's later pages still
+    /// program in order. Does not advance time, consume energy, or count in
+    /// the statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range or not at the write pointer.
+    pub fn skip_page(&mut self, addr: PageAddr) {
+        assert!(self.geometry.contains(addr), "skip out of range");
+        let idx = self.block_index(addr);
+        assert_eq!(
+            self.blocks[idx].write_pointer, addr.page,
+            "only the page at the write pointer can be skipped"
+        );
+        self.blocks[idx].write_pointer += 1;
+    }
+
     /// Marks a block as fully programmed without simulating each program —
     /// used to precondition the SSD before a measured run (the paper's
     /// steady-state assumption). Does not advance time, consume energy, or
@@ -380,6 +400,22 @@ mod tests {
                 expected_page: 0
             }
         );
+    }
+
+    #[test]
+    fn a_skipped_page_lets_the_next_page_program() {
+        let mut c = chip();
+        let t = c.start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO).unwrap();
+        c.skip_page(page(0, 0, 1));
+        assert_eq!(c.write_pointer(page(0, 0, 0)), 2);
+        assert_eq!(c.stats().programs, 1, "a skip is not a program");
+        c.start(NandCommandKind::Program, &[page(0, 0, 2)], t).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "write pointer")]
+    fn only_the_write_pointer_page_can_be_skipped() {
+        chip().skip_page(page(0, 0, 1));
     }
 
     #[test]

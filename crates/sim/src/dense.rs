@@ -25,8 +25,11 @@
 /// s.insert(130);
 /// s.insert(64);
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![7, 64, 130]);
-/// // Circular iteration from a start id (the dispatcher's rotation).
-/// assert_eq!(s.iter_from(64).collect::<Vec<_>>(), vec![64, 130, 7]);
+/// // Circular collection from a start id (the dispatcher's rotation).
+/// let mut out = Vec::new();
+/// s.collect_into_from(64, &mut out);
+/// assert_eq!(out, vec![64, 130, 7]);
+/// assert_eq!(s.nth(1), Some(64));
 /// s.remove(64);
 /// assert_eq!(s.len(), 2);
 /// ```
@@ -123,41 +126,78 @@ impl DenseBitSet {
         })
     }
 
-    /// Iterates members in *circular* ascending order starting at `start`:
-    /// first the members `>= start` ascending, then the members `< start`
-    /// ascending. This reproduces a rotated full scan
-    /// (`(start + off) % capacity` for `off` in `0..capacity`) restricted to
-    /// members — the dispatcher's fairness rotation.
+    /// The `n`-th member in ascending order (`n` counts from 0), or `None`
+    /// when the set has `n` or fewer members. Costs one popcount per word
+    /// up to the answer's word.
+    pub fn nth(&self, mut n: usize) -> Option<usize> {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let count = w.count_ones() as usize;
+            if n < count {
+                let mut rest = w;
+                for _ in 0..n {
+                    rest &= rest - 1;
+                }
+                return Some(wi * 64 + rest.trailing_zeros() as usize);
+            }
+            n -= count;
+        }
+        None
+    }
+
+    /// Collects the members into `out` (cleared first) in circular ascending
+    /// order from `start`, reusing `out`'s capacity — the allocation-free
+    /// form the dispatcher's per-round scratch buffer uses. This reproduces
+    /// a rotated full scan (`(start + off) % capacity` for `off` in
+    /// `0..capacity`) restricted to members — the dispatcher's fairness
+    /// rotation — in one walk over the words.
     ///
     /// # Panics
     ///
-    /// Panics if `start` is outside the universe (an empty universe admits
-    /// only `start == 0`).
-    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+    /// Panics if `start` is outside the universe, or (debug builds) if the
+    /// universe does not fit in `u16` (the engine's chip-id width).
+    pub fn collect_into_from(&self, start: usize, out: &mut Vec<u16>) {
+        self.collect_words_from(start, out, |wi| self.words[wi]);
+    }
+
+    /// [`DenseBitSet::collect_into_from`] restricted to the members that are
+    /// also in `mask`: the intersection, in circular ascending order from
+    /// `start`, collected in the same single word walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` has a different universe, plus the panics of
+    /// [`DenseBitSet::collect_into_from`].
+    pub fn collect_masked_from(&self, start: usize, mask: &DenseBitSet, out: &mut Vec<u16>) {
+        assert_eq!(self.capacity, mask.capacity, "mask universe differs");
+        self.collect_words_from(start, out, |wi| self.words[wi] & mask.words[wi]);
+    }
+
+    /// The shared circular walk: the start word's bits at or above `start`,
+    /// the words after it, the words before it, then the start word's bits
+    /// below `start`. `word(i)` supplies word `i` (the set's own, or masked).
+    fn collect_words_from(&self, start: usize, out: &mut Vec<u16>, word: impl Fn(usize) -> u64) {
         assert!(
             start < self.capacity || (start == 0 && self.capacity == 0),
             "start {start} outside universe {}",
             self.capacity
         );
-        self.iter()
-            .filter(move |&id| id >= start)
-            .chain(self.iter().filter(move |&id| id < start))
-    }
-
-    /// Collects the members into `out` (cleared first) in circular ascending
-    /// order from `start`, reusing `out`'s capacity — the allocation-free
-    /// form the dispatcher's per-round scratch buffer uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is outside the universe, or if a member does not
-    /// fit in `u16` (the engine's chip-id width).
-    pub fn collect_into_from(&self, start: usize, out: &mut Vec<u16>) {
+        debug_assert!(self.capacity <= usize::from(u16::MAX) + 1);
         out.clear();
-        out.extend(self.iter_from(start).map(|id| {
-            debug_assert!(id <= usize::from(u16::MAX));
-            id as u16
-        }));
+        if self.words.is_empty() {
+            return;
+        }
+        let mut push = |wi: usize, mut bits: u64| {
+            while bits != 0 {
+                out.push((wi * 64 + bits.trailing_zeros() as usize) as u16);
+                bits &= bits - 1;
+            }
+        };
+        let (sw, high) = (start / 64, !0u64 << (start % 64));
+        push(sw, word(sw) & high);
+        for wi in (sw + 1..self.words.len()).chain(0..sw) {
+            push(wi, word(wi));
+        }
+        push(sw, word(sw) & !high);
     }
 }
 
@@ -193,25 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_iteration_matches_a_rotated_full_scan() {
-        let mut s = DenseBitSet::with_capacity(64);
-        for m in [1usize, 8, 9, 40, 63] {
-            s.insert(m);
-        }
-        for start in 0..64 {
-            let expect: Vec<usize> = (0..64)
-                .map(|off| (start + off) % 64)
-                .filter(|&id| s.contains(id))
-                .collect();
-            assert_eq!(
-                s.iter_from(start).collect::<Vec<_>>(),
-                expect,
-                "start {start}"
-            );
-        }
-    }
-
-    #[test]
     fn collect_into_reuses_the_buffer() {
         let mut s = DenseBitSet::with_capacity(100);
         s.insert(10);
@@ -223,6 +244,65 @@ mod tests {
         s.collect_into_from(0, &mut out);
         assert_eq!(out, vec![10, 90]);
         assert_eq!(out.capacity(), cap, "no reallocation for same-size output");
+    }
+
+    /// Random sets at capacities 64, 256 and 1024 (the engine's chip
+    /// counts): `nth` and both collectors against a linear reference, from
+    /// every start — on, before and after every word edge included.
+    #[test]
+    fn word_walks_match_a_linear_reference() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for cap in [64usize, 256, 1024] {
+            for density in [1u64, 8, 32, 63] {
+                let (mut s, mut mask) =
+                    (DenseBitSet::with_capacity(cap), DenseBitSet::with_capacity(cap));
+                for id in 0..cap {
+                    if next() % 64 < density {
+                        s.insert(id);
+                    }
+                    if next() % 2 == 0 {
+                        mask.insert(id);
+                    }
+                }
+                let members: Vec<usize> = (0..cap).filter(|&id| s.contains(id)).collect();
+                for (n, &m) in members.iter().enumerate() {
+                    assert_eq!(s.nth(n), Some(m), "cap {cap} nth {n}");
+                }
+                assert_eq!(s.nth(members.len()), None);
+                let (mut plain, mut masked) = (Vec::new(), Vec::new());
+                for start in 0..cap {
+                    let rotated = (0..cap).map(|off| (start + off) % cap);
+                    let expect: Vec<u16> =
+                        rotated.clone().filter(|&id| s.contains(id)).map(|id| id as u16).collect();
+                    let expect_masked: Vec<u16> = rotated
+                        .filter(|&id| s.contains(id) && mask.contains(id))
+                        .map(|id| id as u16)
+                        .collect();
+                    s.collect_into_from(start, &mut plain);
+                    s.collect_masked_from(start, &mask, &mut masked);
+                    assert_eq!(plain, expect, "cap {cap} start {start}");
+                    assert_eq!(masked, expect_masked, "cap {cap} start {start} masked");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nth_and_collection_on_empty_sets() {
+        let empty = DenseBitSet::with_capacity(0);
+        let mut out = vec![1u16];
+        empty.collect_into_from(0, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(empty.nth(0), None);
+        let s = DenseBitSet::with_capacity(70);
+        s.collect_masked_from(69, &DenseBitSet::with_capacity(70), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -186,8 +186,33 @@ fn traces_are_well_formed() {
 /// axis.
 #[test]
 fn incremental_dispatch_matches_the_full_scan_reference() {
-    use venice::ssd::{run_single, DispatchPolicyKind, DispatchScanKind, SsdConfig};
     use venice::interconnect::FabricKind;
+    use venice::ssd::{
+        run_single, DispatchPolicyKind, DispatchScanKind, FaultPlan, ResiliencePolicy, RunMetrics,
+        SsdConfig,
+    };
+
+    // Runs both engines and requires identical metrics and JSON records.
+    fn agree(
+        base: &SsdConfig,
+        fabric: FabricKind,
+        trace: &venice::workloads::Trace,
+        ctx: &str,
+    ) -> RunMetrics {
+        let incr = run_single(
+            &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
+            fabric,
+            trace,
+        );
+        let full = run_single(
+            &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
+            fabric,
+            trace,
+        );
+        assert_eq!(incr, full, "{ctx}: engines diverged");
+        assert_eq!(incr.to_json(), full.to_json(), "{ctx}: JSON records diverged");
+        incr
+    }
 
     let mut rng = Xorshift64Star::new(0xD15);
     for case in 0..4u64 {
@@ -204,25 +229,43 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             .generate(n);
         let base = SsdConfig::performance_optimized().with_dispatch_policy(policy);
         for fabric in FabricKind::ALL {
-            let incr = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
-                fabric,
-                &trace,
-            );
-            let full = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
-                fabric,
-                &trace,
-            );
-            assert_eq!(
-                incr, full,
-                "case {case}: {fabric}/{policy}: engines diverged"
-            );
-            assert_eq!(
-                incr.to_json(),
-                full.to_json(),
-                "case {case}: {fabric}/{policy}: JSON records diverged"
-            );
+            agree(&base, fabric, &trace, &format!("case {case}: {fabric}/{policy}"));
+        }
+    }
+
+    // The incremental command pass skips busy chips outside its visit set,
+    // so the set must keep every chip whose visit can act. Three cases the
+    // 1-die, fault-free runs above cannot reach, each on every fabric:
+    // - 2 dies per chip: a chip is skipped only when both dies are busy;
+    // - `Chip` and `Storm` faults: dead chips stay visitable so work that
+    //   arrives after a death drains (`Storm` also revives chips);
+    // - `DeadlineRetry`: aborted reads drain even behind a busy die.
+    // The trace's 64 KiB bursts queue work behind busy dies, overrun the
+    // deadlines, and keep writes arriving at the chip that dies 20 µs in.
+    let trace = WorkloadSpec::new("xcheck-visit", 50.0, 64.0, 1.0)
+        .footprint_mb(48)
+        .burst_mean(16.0)
+        .generate(300);
+    let perf = SsdConfig::performance_optimized();
+    let mut two_die = perf.clone();
+    two_die.array.chip.dies = 2;
+    let variants = [
+        ("2-die", two_die),
+        ("chip", perf.clone().with_fault_plan(FaultPlan::Chip)),
+        ("storm", perf.clone().with_fault_plan(FaultPlan::Storm)),
+        ("deadline-retry", perf.clone().with_resilience(ResiliencePolicy::DeadlineRetry)),
+    ];
+    for (label, cfg) in &variants {
+        let mut aborted = 0;
+        for fabric in FabricKind::ALL {
+            let m = agree(cfg, fabric, &trace, &format!("{label}: {fabric}"));
+            aborted += m.deadline_misses;
+            if cfg.fault_plan != FaultPlan::None {
+                assert!(m.faults_injected > 0, "{label}: {fabric}: the plan must fire");
+            }
+        }
+        if cfg.resilience != ResiliencePolicy::None {
+            assert!(aborted > 0, "{label}: the trace must overrun some deadlines");
         }
     }
 
@@ -234,17 +277,7 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             let base = SsdConfig::performance_optimized()
                 .with_mesh(16, 16)
                 .with_dispatch_policy(policy);
-            let incr = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
-                fabric,
-                &trace,
-            );
-            let full = run_single(
-                &base.clone().with_dispatch_scan(DispatchScanKind::FullScan),
-                fabric,
-                &trace,
-            );
-            assert_eq!(incr, full, "16x16 {fabric}/{policy}: engines diverged");
+            agree(&base, fabric, &trace, &format!("16x16 {fabric}/{policy}"));
         }
     }
 }
