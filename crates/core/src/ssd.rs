@@ -726,7 +726,10 @@ impl SsdSim {
                     && self.rebuild_pending.is_empty(),
                 "simulation drained its event queue with work still outstanding"
             );
-            debug_assert!(self.program_holes.is_empty(), "a program hole was never skipped");
+            debug_assert!(
+                self.program_holes.is_empty(),
+                "a program hole was never skipped"
+            );
             assert_eq!(
                 self.completed + self.shed_requests,
                 self.trace.len() as u64,
@@ -1427,8 +1430,9 @@ impl SsdSim {
         if self.parked_on_controllers {
             // Parked-until-controller-free: every controller of a pooled
             // fabric is mid-transfer, so no acquisition can succeed until a
-            // release reports one freed (`note_release`, which also
-            // schedules a dispatch). The round no-ops; the fairness cursor
+            // release reports one freed (`note_release` un-parks; the
+            // handler that released schedules the round). The round
+            // no-ops; the fairness cursor
             // still advances so rotation stays aligned with a round that
             // ran and failed. Relative to an engine without parking this
             // changes only dispatcher-*effort* accounting (`rounds`,
@@ -1491,11 +1495,14 @@ impl SsdSim {
     }
 
     /// Consumes a fabric release report (the wake list): a freed controller
-    /// un-parks dispatch. The resource component (`bus` / `channel` / mesh
-    /// region, see [`venice_interconnect::FreedResource`]) names which
-    /// chips could have been unblocked; the engine's ready sets already
-    /// bound round cost by *queued* work, so per-resource re-arming is left
-    /// to future policies.
+    /// un-parks dispatch. It schedules nothing itself; every caller
+    /// schedules the next round after releasing. The resource component
+    /// (`bus` / `channel` / mesh region, see
+    /// [`venice_interconnect::FreedResource`]) names which chips could have
+    /// been unblocked, but the engine does not re-arm from it: its ready
+    /// sets key on queued work and free dies, never on path resources, so
+    /// a chip blocked on a path is visited every round anyway. Per-resource
+    /// re-arming is left to future policies.
     fn note_release(&mut self, info: &ReleaseInfo) {
         if info.controller.is_some() {
             self.parked_on_controllers = false;
@@ -1635,7 +1642,10 @@ impl SsdSim {
     fn skip_program_holes(&mut self, at: PhysicalPageAddr) {
         let chip = &mut self.chips[usize::from(at.chip.0)];
         loop {
-            let next = PageAddr { page: chip.write_pointer(at.addr), ..at.addr };
+            let next = PageAddr {
+                page: chip.write_pointer(at.addr),
+                ..at.addr
+            };
             let Some(i) = self
                 .program_holes
                 .iter()
@@ -2290,7 +2300,10 @@ impl SsdSim {
         }
         debug_assert!(
             kind != NandCommandKind::Erase
-                || !self.program_holes.iter().any(|&h| self.block_key(h) == self.block_key(txn.target)),
+                || !self
+                    .program_holes
+                    .iter()
+                    .any(|&h| self.block_key(h) == self.block_key(txn.target)),
             "an erased block kept a program hole"
         );
         self.queue.schedule(done, Event::ChipOpDone(txn_id));

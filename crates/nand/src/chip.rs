@@ -405,11 +405,14 @@ mod tests {
     #[test]
     fn a_skipped_page_lets_the_next_page_program() {
         let mut c = chip();
-        let t = c.start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO).unwrap();
+        let t = c
+            .start(NandCommandKind::Program, &[page(0, 0, 0)], SimTime::ZERO)
+            .unwrap();
         c.skip_page(page(0, 0, 1));
         assert_eq!(c.write_pointer(page(0, 0, 0)), 2);
         assert_eq!(c.stats().programs, 1, "a skip is not a program");
-        c.start(NandCommandKind::Program, &[page(0, 0, 2)], t).unwrap();
+        c.start(NandCommandKind::Program, &[page(0, 0, 2)], t)
+            .unwrap();
     }
 
     #[test]

@@ -251,22 +251,18 @@ mod tests {
     /// every start — on, before and after every word edge included.
     #[test]
     fn word_walks_match_a_linear_reference() {
-        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
+        let mut rng = crate::rng::Xorshift64Star::new(0xDE45E);
         for cap in [64usize, 256, 1024] {
             for density in [1u64, 8, 32, 63] {
-                let (mut s, mut mask) =
-                    (DenseBitSet::with_capacity(cap), DenseBitSet::with_capacity(cap));
+                let (mut s, mut mask) = (
+                    DenseBitSet::with_capacity(cap),
+                    DenseBitSet::with_capacity(cap),
+                );
                 for id in 0..cap {
-                    if next() % 64 < density {
+                    if rng.next_bounded(64) < density {
                         s.insert(id);
                     }
-                    if next() % 2 == 0 {
+                    if rng.next_bool(0.5) {
                         mask.insert(id);
                     }
                 }
@@ -278,8 +274,11 @@ mod tests {
                 let (mut plain, mut masked) = (Vec::new(), Vec::new());
                 for start in 0..cap {
                     let rotated = (0..cap).map(|off| (start + off) % cap);
-                    let expect: Vec<u16> =
-                        rotated.clone().filter(|&id| s.contains(id)).map(|id| id as u16).collect();
+                    let expect: Vec<u16> = rotated
+                        .clone()
+                        .filter(|&id| s.contains(id))
+                        .map(|id| id as u16)
+                        .collect();
                     let expect_masked: Vec<u16> = rotated
                         .filter(|&id| s.contains(id) && mask.contains(id))
                         .map(|id| id as u16)

@@ -200,7 +200,9 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
         ctx: &str,
     ) -> RunMetrics {
         let incr = run_single(
-            &base.clone().with_dispatch_scan(DispatchScanKind::Incremental),
+            &base
+                .clone()
+                .with_dispatch_scan(DispatchScanKind::Incremental),
             fabric,
             trace,
         );
@@ -210,7 +212,11 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             trace,
         );
         assert_eq!(incr, full, "{ctx}: engines diverged");
-        assert_eq!(incr.to_json(), full.to_json(), "{ctx}: JSON records diverged");
+        assert_eq!(
+            incr.to_json(),
+            full.to_json(),
+            "{ctx}: JSON records diverged"
+        );
         incr
     }
 
@@ -229,7 +235,12 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             .generate(n);
         let base = SsdConfig::performance_optimized().with_dispatch_policy(policy);
         for fabric in FabricKind::ALL {
-            agree(&base, fabric, &trace, &format!("case {case}: {fabric}/{policy}"));
+            agree(
+                &base,
+                fabric,
+                &trace,
+                &format!("case {case}: {fabric}/{policy}"),
+            );
         }
     }
 
@@ -253,7 +264,11 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
         ("2-die", two_die),
         ("chip", perf.clone().with_fault_plan(FaultPlan::Chip)),
         ("storm", perf.clone().with_fault_plan(FaultPlan::Storm)),
-        ("deadline-retry", perf.clone().with_resilience(ResiliencePolicy::DeadlineRetry)),
+        (
+            "deadline-retry",
+            perf.clone()
+                .with_resilience(ResiliencePolicy::DeadlineRetry),
+        ),
     ];
     for (label, cfg) in &variants {
         let mut aborted = 0;
@@ -261,11 +276,17 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
             let m = agree(cfg, fabric, &trace, &format!("{label}: {fabric}"));
             aborted += m.deadline_misses;
             if cfg.fault_plan != FaultPlan::None {
-                assert!(m.faults_injected > 0, "{label}: {fabric}: the plan must fire");
+                assert!(
+                    m.faults_injected > 0,
+                    "{label}: {fabric}: the plan must fire"
+                );
             }
         }
         if cfg.resilience != ResiliencePolicy::None {
-            assert!(aborted > 0, "{label}: the trace must overrun some deadlines");
+            assert!(
+                aborted > 0,
+                "{label}: the trace must overrun some deadlines"
+            );
         }
     }
 
