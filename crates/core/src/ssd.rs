@@ -416,7 +416,7 @@ pub struct SsdSim {
     /// release reports a controller freed ([`ReleaseInfo::controller`]).
     parked_on_controllers: bool,
 
-    /// Reusable scratch: busy-chip list for dispatch rounds.
+    /// Reusable scratch: the command pass's visit list.
     busy_scratch: Vec<u16>,
     /// Reusable scratch: ready-chip list for incremental data-burst passes.
     data_scratch: Vec<u16>,

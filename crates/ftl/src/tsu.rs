@@ -238,9 +238,10 @@ impl TransactionScheduler {
     }
 
     /// Collects [`TransactionScheduler::busy_chips`] into `out` (cleared
-    /// first) via the linear reference scan (O(chips)). The retained full-scan dispatcher uses this so the
-    /// incremental engine can be cross-checked against an implementation
-    /// that shares none of its ready-set bookkeeping.
+    /// first) via the linear reference scan (O(chips)). The retained
+    /// full-scan dispatcher uses this so the incremental engine can be
+    /// cross-checked against an implementation that shares none of its
+    /// ready-set bookkeeping.
     pub fn busy_chips_scan_into(&self, out: &mut Vec<u16>) {
         out.clear();
         if self.pending == 0 {
