@@ -18,8 +18,9 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use venice_bench::microbench::Runner;
+use venice_bench::microbench::{round_to, Runner};
 use venice_interconnect::FabricKind;
+use venice_ssd::json::{Layout, Writer};
 use venice_ssd::{DispatchPolicyKind, DispatchScanKind, RunMetrics, SsdConfig, SsdSim};
 use venice_workloads::WorkloadAxis;
 
@@ -86,9 +87,14 @@ fn run(cfg: &SsdConfig, fabric: FabricKind, trace: &venice_workloads::Trace) -> 
 
 fn main() {
     let mut r = Runner::new("dispatch_scan").sample_budget(Duration::from_millis(250));
-    let mut summary = String::from("{\n  \"bench\": \"dispatch_scan\",\n  \"scenarios\": [\n");
+    let mut summary = String::new();
+    let mut w = Writer::new(&mut summary);
+    w.object(Layout::Block)
+        .field("bench", "dispatch_scan")
+        .key("scenarios")
+        .array(Layout::Block);
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (i, s) in SCENARIOS.iter().enumerate() {
+    for s in &SCENARIOS {
         let trace = WorkloadAxis::congested().trace(s.requests);
         let base = SsdConfig::performance_optimized()
             .with_mesh(s.rows, s.cols)
@@ -103,13 +109,10 @@ fn main() {
 
         let mut timed: Vec<f64> = Vec::new();
         for (tag, cfg) in [("incremental", &incr_cfg), ("full_scan", &full_cfg)] {
-            let ms = {
-                r.bench(&format!("{}_{}", s.name, tag), || {
-                    black_box(run(cfg, s.fabric, black_box(&trace)));
-                });
-                r_last_ns(&r)
-            };
-            timed.push(ms);
+            r.bench(&format!("{}_{}", s.name, tag), || {
+                black_box(run(cfg, s.fabric, black_box(&trace)));
+            });
+            timed.push(r.last_ns_per_iter().expect("bench just ran"));
         }
         let (ns_incr, ns_full) = (timed[0], timed[1]);
         let evps_incr = events as f64 / (ns_incr / 1e9);
@@ -122,35 +125,28 @@ fn main() {
             evps_full / 1e6,
             speedup
         );
-        summary.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}x{}\", \"fabric\": \"{}\", \
-             \"policy\": \"{}\", \
-             \"requests\": {}, \"events\": {}, \"events_per_sec_incremental\": {:.0}, \
-             \"events_per_sec_full_scan\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            s.name,
-            s.rows,
-            s.cols,
-            s.fabric.label(),
-            s.policy.label(),
-            s.requests,
-            events,
-            evps_incr,
-            evps_full,
-            speedup,
-            if i + 1 == SCENARIOS.len() { "" } else { "," }
-        ));
+        w.object(Layout::Inline)
+            .field("name", s.name)
+            .field("shape", format!("{}x{}", s.rows, s.cols))
+            .field("fabric", s.fabric.label())
+            .field("policy", s.policy.label())
+            .field("requests", s.requests)
+            .field("events", events)
+            .field("events_per_sec_incremental", evps_incr.round() as u64)
+            .field("events_per_sec_full_scan", evps_full.round() as u64)
+            .field("speedup", round_to(speedup, 3))
+            .end();
         speedups.push((s.name.to_string(), speedup));
     }
-    summary.push_str("  ]\n}\n");
+    w.end().end();
     r.finish();
 
     let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let out = dir.join("bench_dispatch.json");
-    match std::fs::write(&out, &summary) {
-        Ok(()) => println!("dispatch summary -> {}", out.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", out.display()),
-    }
+    venice_bench::write_result(
+        &dir.join("bench_dispatch.json"),
+        "dispatch summary",
+        &summary,
+    );
 
     // Perf-smoke gate against the checked-in baseline ratios.
     venice_bench::microbench::enforce_speedup_baseline(
@@ -159,9 +155,4 @@ fn main() {
         &speedups,
         REGRESSION_FLOOR,
     );
-}
-
-/// The ns/iter of the most recent [`Runner::bench`] call.
-fn r_last_ns(r: &Runner) -> f64 {
-    r.last_ns_per_iter().expect("bench just ran")
 }

@@ -20,8 +20,9 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use venice_bench::microbench::Runner;
+use venice_bench::microbench::{round_to, Runner};
 use venice_interconnect::FabricKind;
+use venice_ssd::json::{Layout, Writer};
 use venice_ssd::{DispatchPolicyKind, RunMetrics, ScoutCacheKind, SsdConfig, SsdSim};
 use venice_workloads::WorkloadAxis;
 
@@ -115,9 +116,14 @@ fn assert_behaviorally_identical(off: &RunMetrics, on: &RunMetrics, name: &str) 
 
 fn main() {
     let mut r = Runner::new("scout_walk").sample_budget(Duration::from_millis(250));
-    let mut summary = String::from("{\n  \"bench\": \"scout_walk\",\n  \"scenarios\": [\n");
+    let mut summary = String::new();
+    let mut w = Writer::new(&mut summary);
+    w.object(Layout::Block)
+        .field("bench", "scout_walk")
+        .key("scenarios")
+        .array(Layout::Block);
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (i, s) in SCENARIOS.iter().enumerate() {
+    for s in &SCENARIOS {
         let trace = WorkloadAxis::congested().trace(s.requests);
         let base = SsdConfig::performance_optimized()
             .with_mesh(s.rows, s.cols)
@@ -156,40 +162,28 @@ fn main() {
             fastfails,
             invalidations
         );
-        summary.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}x{}\", \"fabric\": \"Venice\", \
-             \"queue_depth\": {}, \"policy\": \"{}\", \"requests\": {}, \"events\": {}, \
-             \"scout_failed_steps\": {}, \"scout_fastfails\": {}, \
-             \"scout_cache_invalidations\": {}, \
-             \"events_per_sec_cache_on\": {:.0}, \
-             \"events_per_sec_cache_off\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            s.name,
-            s.rows,
-            s.cols,
-            s.queue_depth,
-            s.policy.label(),
-            s.requests,
-            events,
-            failed_steps,
-            fastfails,
-            invalidations,
-            evps_on,
-            evps_off,
-            speedup,
-            if i + 1 == SCENARIOS.len() { "" } else { "," }
-        ));
+        w.object(Layout::Inline)
+            .field("name", s.name)
+            .field("shape", format!("{}x{}", s.rows, s.cols))
+            .field("fabric", "Venice")
+            .field("queue_depth", s.queue_depth)
+            .field("policy", s.policy.label())
+            .field("requests", s.requests)
+            .field("events", events)
+            .field("scout_failed_steps", failed_steps)
+            .field("scout_fastfails", fastfails)
+            .field("scout_cache_invalidations", invalidations)
+            .field("events_per_sec_cache_on", evps_on.round() as u64)
+            .field("events_per_sec_cache_off", evps_off.round() as u64)
+            .field("speedup", round_to(speedup, 3))
+            .end();
         speedups.push((s.name.to_string(), speedup));
     }
-    summary.push_str("  ]\n}\n");
+    w.end().end();
     r.finish();
 
     let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let out = dir.join("bench_scout.json");
-    match std::fs::write(&out, &summary) {
-        Ok(()) => println!("scout summary -> {}", out.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", out.display()),
-    }
+    venice_bench::write_result(&dir.join("bench_scout.json"), "scout summary", &summary);
 
     // Perf-smoke gate against the checked-in baseline ratios.
     venice_bench::microbench::enforce_speedup_baseline(

@@ -25,28 +25,9 @@
 
 use std::path::{Path, PathBuf};
 
-use venice_bench::microbench::{json_f64_fields, json_str_fields};
-use venice_ssd::report::{f2, json_str};
-
-/// FNV-1a 64-bit over `bytes` (the artifact fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
-/// `git describe --always --dirty` (provenance only, never compared).
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
+use venice_bench::microbench::round_to;
+use venice_bench::{fnv1a, git_describe, FNV_OFFSET};
+use venice_ssd::json::{Layout, Value, Writer};
 
 /// Refuses a `-dirty` revision unless `allow_dirty` is set.
 fn check_revision(describe: &str, allow_dirty: bool) -> Result<(), String> {
@@ -64,52 +45,75 @@ fn mean(values: &[f64]) -> Option<f64> {
     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
-/// Folds one microbench artifact into one ledger entry line, or explains
-/// why it cannot (missing artifact is a skip, not an error: the ledgers
-/// only grow on machines that ran the benches).
-fn entry_for(source: &Path, throughput_key: &str, git: &str) -> Result<String, String> {
+/// Folds one microbench artifact into one ledger entry, or explains why it
+/// cannot (missing artifact is a skip, not an error: the ledgers only grow
+/// on machines that ran the benches).
+fn entry_for(source: &Path, throughput_key: &str, git: &str) -> Result<Value, String> {
     let json = std::fs::read_to_string(source)
         .map_err(|e| format!("cannot read {} ({e}); run its bench first", source.display()))?;
-    let scenarios = json_str_fields(&json, "name").len();
-    let speedups = json_f64_fields(&json, "speedup");
-    let throughput = json_f64_fields(&json, throughput_key);
-    if scenarios == 0 || speedups.is_empty() {
+    let doc = Value::parse(&json).map_err(|e| format!("{}: {e}", source.display()))?;
+    let scenarios = doc
+        .get("scenarios")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    let column = |key| -> Vec<f64> {
+        scenarios
+            .iter()
+            .filter_map(|s| s.get(key).and_then(Value::as_f64))
+            .collect()
+    };
+    let speedups = column("speedup");
+    if scenarios.is_empty() || speedups.is_empty() {
         return Err(format!("{} has no scenarios", source.display()));
     }
-    Ok(format!(
-        "  {{\"git\": {}, \"fingerprint\": \"{:016x}\", \"scenarios\": {scenarios}, \
-         \"mean_speedup\": {}, \"mean_{throughput_key}\": {}}}",
-        json_str(git),
-        fnv1a(json.as_bytes()),
-        f2(mean(&speedups).unwrap_or(0.0)),
-        f2(mean(&throughput).unwrap_or(0.0)),
-    ))
+    let rounded_mean = |values: &[f64]| Value::F64(round_to(mean(values).unwrap_or(0.0), 2));
+    Ok(Value::Object(vec![
+        ("git".into(), Value::Str(git.into())),
+        (
+            "fingerprint".into(),
+            Value::Str(format!("{:016x}", fnv1a(json.as_bytes(), FNV_OFFSET))),
+        ),
+        ("scenarios".into(), Value::U64(scenarios.len() as u64)),
+        ("mean_speedup".into(), rounded_mean(&speedups)),
+        (
+            format!("mean_{throughput_key}"),
+            rounded_mean(&column(throughput_key)),
+        ),
+    ]))
 }
 
 /// Appends `entry` to the ledger at `path` (creating it), unless the last
-/// entry already carries the same artifact fingerprint.
-fn append(path: &Path, ledger_name: &str, entry: String) -> std::io::Result<bool> {
-    let mut entries: Vec<String> = match std::fs::read_to_string(path) {
-        Ok(doc) => doc
-            .lines()
-            .filter(|l| l.trim_start().starts_with('{') && l.contains("\"git\""))
-            .map(|l| l.trim_end_matches(',').to_string())
-            .collect(),
+/// entry already carries the same artifact fingerprint. A ledger that does
+/// not parse is left untouched.
+fn append(path: &Path, ledger_name: &str, entry: Value) -> std::io::Result<bool> {
+    let mut entries = match std::fs::read_to_string(path) {
+        Ok(doc) => Value::parse(&doc)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+            .get("entries")
+            .and_then(Value::as_array)
+            .unwrap_or_default()
+            .to_vec(),
         Err(_) => Vec::new(),
     };
-    let fp = |e: &str| {
-        e.find("\"fingerprint\": ")
-            .map(|at| e[at..].chars().take(36).collect::<String>())
-    };
-    if entries.last().is_some_and(|last| fp(last) == fp(&entry)) {
+    let fingerprint = |e: &Value| e.get("fingerprint").cloned();
+    if entries
+        .last()
+        .is_some_and(|last| fingerprint(last) == fingerprint(&entry))
+    {
         return Ok(false);
     }
     entries.push(entry);
-    let doc = format!(
-        "{{\n \"ledger\": {},\n \"entries\": [\n{}\n ]\n}}\n",
-        json_str(ledger_name),
-        entries.join(",\n"),
-    );
+    let mut doc = String::new();
+    let mut w = Writer::new(&mut doc);
+    w.object(Layout::Block)
+        .field("ledger", ledger_name)
+        .key("entries")
+        .array(Layout::Block);
+    for e in &entries {
+        w.value(e);
+    }
+    w.end().end();
+    doc.push('\n');
     std::fs::write(path, doc)?;
     Ok(true)
 }
@@ -160,7 +164,40 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::check_revision;
+    use super::*;
+
+    #[test]
+    fn append_keeps_entries_and_dedups_on_fingerprint() {
+        let dir = std::env::temp_dir().join(format!("venice-ledger-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (source, ledger) = (dir.join("bench.json"), dir.join("BENCH_t.json"));
+        std::fs::write(
+            &source,
+            "{\"scenarios\": [{\"name\": \"a\", \"speedup\": 2, \"eps\": 10.5}, \
+             {\"name\": \"b\", \"speedup\": 3, \"eps\": 20}]}",
+        )
+        .unwrap();
+        let entry = entry_for(&source, "eps", "abc1234").unwrap();
+        assert_eq!(entry.get("scenarios"), Some(&Value::U64(2)));
+        assert_eq!(entry.get("mean_speedup").and_then(Value::as_f64), Some(2.5));
+        assert_eq!(entry.get("mean_eps").and_then(Value::as_f64), Some(15.25));
+        assert!(append(&ledger, "t", entry.clone()).unwrap());
+        assert!(
+            !append(&ledger, "t", entry.clone()).unwrap(),
+            "same artifact twice"
+        );
+        let doc = Value::parse(&std::fs::read_to_string(&ledger).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("entries").and_then(Value::as_array),
+            Some(&[entry][..])
+        );
+        std::fs::write(&ledger, "{\"entries\": [").unwrap();
+        assert!(
+            append(&ledger, "t", Value::Null).is_err(),
+            "a torn ledger is not clobbered"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn dirty_revisions_need_allow_dirty() {

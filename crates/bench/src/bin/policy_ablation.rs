@@ -17,7 +17,8 @@
 use std::time::Instant;
 
 use venice_interconnect::FabricKind;
-use venice_ssd::report::{f2, json_f64, json_str, Table};
+use venice_ssd::json::{Layout, Writer};
+use venice_ssd::report::{f2, Table};
 use venice_ssd::{run_single, DispatchPolicyKind, RunMetrics, SsdConfig};
 use venice_workloads::WorkloadAxis;
 
@@ -121,44 +122,36 @@ fn main() {
     );
     print!("{}", t.to_markdown());
 
-    let mut rows = String::from("[\n");
-    for (i, c) in cells.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{\"fabric\": {}, \"policy\": {}, \"events\": {}, \
-             \"best_wall_s\": {}, \"events_per_sec\": {}, \
-             \"speedup_vs_retry_all\": {}, \"execution_time_ns\": {}, \
-             \"attempts\": {}, \"skipped_backoff\": {}, \"failed_walks\": {}, \
-             \"conflict_pct\": {}}}{}\n",
-            json_str(c.fabric.label()),
-            json_str(c.policy.label()),
-            c.metrics.events,
-            json_f64(c.best_wall_s),
-            json_f64(c.events_per_sec()),
-            json_f64(c.events_per_sec() / baseline_eps(c.fabric)),
-            c.metrics.execution_time.as_nanos(),
-            c.metrics.dispatch.attempts,
-            c.metrics.dispatch.skipped_backoff,
-            c.metrics.dispatch.failed_walks,
-            json_f64(c.metrics.conflict_pct()),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
+    let mut json = String::new();
+    let mut w = Writer::new(&mut json);
+    w.object(Layout::Block)
+        .field("bench", "policy_ablation")
+        .field("workload", axis.name())
+        .field("requests", requests)
+        .field("repeat", repeat)
+        .key("cells")
+        .array(Layout::Block);
+    for c in &cells {
+        w.object(Layout::Inline)
+            .field("fabric", c.fabric.label())
+            .field("policy", c.policy.label())
+            .field("events", c.metrics.events)
+            .field("best_wall_s", c.best_wall_s)
+            .field("events_per_sec", c.events_per_sec())
+            .field(
+                "speedup_vs_retry_all",
+                c.events_per_sec() / baseline_eps(c.fabric),
+            )
+            .field("execution_time_ns", c.metrics.execution_time.as_nanos())
+            .field("attempts", c.metrics.dispatch.attempts)
+            .field("skipped_backoff", c.metrics.dispatch.skipped_backoff)
+            .field("failed_walks", c.metrics.dispatch.failed_walks)
+            .field("conflict_pct", c.metrics.conflict_pct())
+            .end();
     }
-    rows.push_str("  ]");
-    let json = format!(
-        "{{\n  \"bench\": \"policy_ablation\",\n  \"workload\": {},\n  \
-         \"requests\": {},\n  \"repeat\": {},\n  \"cells\": {}\n}}\n",
-        json_str(axis.name()),
-        requests,
-        repeat,
-        rows
-    );
-    let dir = venice_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("policy_ablation.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("[venice-bench] wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    w.end().end();
+    let path = venice_bench::results_dir().join("policy_ablation.json");
+    venice_bench::write_result(&path, "policy ablation", &json);
 
     let venice_backoff = cells
         .iter()

@@ -50,11 +50,13 @@
 //! `Baseline,Venice`), `--scout-cache <off|on|checked>` (override the
 //! scout fast-fail-cache axis), `--fresh`, `--list`.
 
-use venice_bench::report_resumed;
-use venice_bench::sweep::{ResumedSweep, SweepGrid, WorkerPool};
+use std::path::Path;
+
+use venice_bench::sweep::{ResumedSweep, SweepGrid, SweepPoint, WorkerPool};
+use venice_bench::{real_systems, report_resumed};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::{json_f64, json_str};
+use venice_ssd::json::{Layout, Value, Writer};
 use venice_ssd::{
     all_systems, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, ScoutCacheKind,
     SsdConfig, TenantSet,
@@ -130,13 +132,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
             .fault_plans(&FaultPlan::ALL)
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&real_systems())
             .requests(requests.unwrap_or(400)),
         "tenants" => SweepGrid::new("tenants")
             .workload(WorkloadAxis::victim_solo())
@@ -157,26 +153,14 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .fault_plans(&[FaultPlan::None, FaultPlan::Link, FaultPlan::Storm])
             .tenant_sets(&[TenantSet::single(), TenantSet::deadline_split()])
             .resilience_policies(&ResiliencePolicy::ALL)
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&real_systems())
             .requests(requests.unwrap_or(800)),
         "rebuild" => SweepGrid::new("rebuild")
             .workload(WorkloadAxis::congested())
             .fault_plans(&[FaultPlan::Chip, FaultPlan::ChipAndLink])
             .resilience_policies(&[ResiliencePolicy::DeadlineRetry])
             .redundancy_kinds(&RedundancyKind::ALL)
-            .fabrics(&[
-                FabricKind::Baseline,
-                FabricKind::Pssd,
-                FabricKind::PnSsd,
-                FabricKind::NoSsd,
-                FabricKind::Venice,
-            ])
+            .fabrics(&real_systems())
             .requests(requests.unwrap_or(800)),
         "scoutcache" => SweepGrid::new("scoutcache")
             .workload(WorkloadAxis::congested())
@@ -205,65 +189,90 @@ const GRID_NAMES: [&str; 14] = [
     "scoutcache", "faults", "tenants", "resilience", "rebuild",
 ];
 
-/// Extracts the raw numeric token after the first `"key": ` occurrence.
-fn json_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// Running means keyed by axis coordinates, in first-seen key order.
+struct MeanBy<K> {
+    cells: Vec<(K, f64, u32)>,
+}
+
+impl<K: PartialEq> MeanBy<K> {
+    fn new() -> Self {
+        MeanBy { cells: Vec::new() }
+    }
+
+    fn add(&mut self, key: K, x: f64) {
+        match self.cells.iter_mut().find(|(k, _, _)| *k == key) {
+            Some((_, sum, n)) => {
+                *sum += x;
+                *n += 1;
+            }
+            None => self.cells.push((key, x, 1)),
+        }
+    }
+
+    fn mean(&self, key: &K) -> Option<f64> {
+        self.means().find(|(k, _)| *k == key).map(|(_, m)| m)
+    }
+
+    fn means(&self) -> impl Iterator<Item = (&K, f64)> {
+        self.cells
+            .iter()
+            .map(|(k, sum, n)| (k, sum / f64::from(*n)))
+    }
+}
+
+/// The sweep's point records, parsed, beside their grid coordinates. A
+/// record that does not parse reads as empty (every field absent).
+fn parsed_points(outcome: &ResumedSweep) -> Vec<(&SweepPoint, Value)> {
+    outcome
+        .points()
+        .iter()
+        .zip(outcome.point_jsons())
+        .map(|(p, json)| (p, Value::parse(json).unwrap_or(Value::Null)))
+        .collect()
+}
+
+/// A number at `path` in a parsed point record, as `f64`.
+fn num(record: &Value, path: &[&str]) -> Option<f64> {
+    record.at(path)?.as_f64()
+}
+
+/// An exact count at `path` in a parsed point record (zero when absent).
+fn count(record: &Value, path: &[&str]) -> u64 {
+    record.at(path).and_then(Value::as_u64).unwrap_or(0)
+}
+
+/// One tenant's entry in a point record's `tenants` array, by name.
+fn tenant<'a>(record: &'a Value, name: &str) -> Option<&'a Value> {
+    record
+        .get("tenants")?
+        .as_array()?
+        .iter()
+        .find(|t| t.get("name").and_then(Value::as_str) == Some(name))
+}
+
+/// Starts an ablation document: one member per line, opening with its
+/// `name` and source `grid`.
+fn ablation_doc<'a>(out: &'a mut String, name: &str, grid: &str) -> Writer<'a> {
+    let mut w = Writer::new(out);
+    w.object(Layout::Block)
+        .field("name", name)
+        .field("grid", grid);
+    w
 }
 
 /// Distills the `faults` grid into `results/fault_ablation.json`: one
 /// entry per point plus per-(plan × fabric) mean availability, with a
 /// headline comparing Venice against the bus fabrics under the single-link
 /// plan (the bus loses a whole row to one dead link; the mesh reroutes).
-/// Per-(fault plan, fabric) availability accumulator cell.
-type AvailabilityCell<'a> = ((&'a str, &'a str), (f64, u32));
-
-fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
-    let mut point_lines = Vec::new();
-    // (plan label, fabric label) -> (availability sum, points)
-    let mut agg: Vec<AvailabilityCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let avail = json_num(json, "availability").unwrap_or(0.0);
-        let failed = json_num(json, "failed_requests").unwrap_or(0.0) as u64;
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0) as u64;
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
-             \"fault_plan\": {}, \"completed_requests\": {completed}, \
-             \"failed_requests\": {failed}, \"availability\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.fabric.label()),
-            json_str(p.fault_plan.label()),
-            json_f64(avail),
-        ));
-        let key = (p.fault_plan.label(), p.fabric.label());
-        match agg.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, (sum, n))) => {
-                *sum += avail;
-                *n += 1;
-            }
-            None => agg.push((key, (avail, 1))),
-        }
+fn write_fault_ablation(outcome: &ResumedSweep, path: &Path) {
+    let records = parsed_points(outcome);
+    let availability = |r: &Value| num(r, &["faults", "availability"]).unwrap_or(0.0);
+    // (plan label, fabric label) -> mean availability
+    let mut agg = MeanBy::new();
+    for (p, r) in &records {
+        agg.add((p.fault_plan.label(), p.fabric.label()), availability(r));
     }
-    let mean = |plan: &str, fabric: &str| {
-        agg.iter()
-            .find(|((pl, fb), _)| *pl == plan && *fb == fabric)
-            .map(|(_, (sum, n))| sum / f64::from(*n))
-    };
-    let agg_lines: Vec<String> = agg
-        .iter()
-        .map(|((plan, fabric), (sum, n))| {
-            format!(
-                "    {{\"fault_plan\": {}, \"fabric\": {}, \"mean_availability\": {}}}",
-                json_str(plan),
-                json_str(fabric),
-                json_f64(sum / f64::from(*n)),
-            )
-        })
-        .collect();
+    let mean = |plan, fabric| agg.mean(&(plan, fabric));
     // Two-tier headline. A single dead link strands a whole row on the
     // row-bus designs (Baseline, pSSD) while the mesh reroutes; pnSSD's
     // row+column redundancy genuinely survives one bus outage, so the
@@ -280,34 +289,46 @@ fn write_fault_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         .filter_map(|b| mean("link-cross", b))
         .fold(0.0f64, f64::max);
     let sustains = venice_link > best_row_bus && venice_cross > best_bus_cross;
-    let doc = format!(
-        "{{\n  \"name\": \"fault_ablation\",\n  \"grid\": \"faults\",\n  \
-         \"headline\": {{\"venice_sustains_higher\": {sustains}, \
-         \"single_link\": {{\"fault_plan\": \"link\", \"venice_availability\": {}, \
-         \"best_row_bus_availability\": {}}}, \
-         \"crossing_links\": {{\"fault_plan\": \"link-cross\", \"venice_availability\": {}, \
-         \"best_bus_availability\": {}}}}},\n  \
-         \"availability_by_plan\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice_link),
-        json_f64(best_row_bus),
-        json_f64(venice_cross),
-        json_f64(best_bus_cross),
-        agg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] fault ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    let mut doc = String::new();
+    let mut w = ablation_doc(&mut doc, "fault_ablation", "faults");
+    w.key("headline")
+        .object(Layout::Inline)
+        .field("venice_sustains_higher", sustains);
+    w.key("single_link")
+        .object(Layout::Inline)
+        .field("fault_plan", "link")
+        .field("venice_availability", venice_link)
+        .field("best_row_bus_availability", best_row_bus)
+        .end();
+    w.key("crossing_links")
+        .object(Layout::Inline)
+        .field("fault_plan", "link-cross")
+        .field("venice_availability", venice_cross)
+        .field("best_bus_availability", best_bus_cross)
+        .end()
+        .end();
+    w.key("availability_by_plan").array(Layout::Block);
+    for ((plan, fabric), m) in agg.means() {
+        w.object(Layout::Inline)
+            .field("fault_plan", plan)
+            .field("fabric", fabric)
+            .field("mean_availability", m)
+            .end();
     }
-}
-
-/// Extracts a numeric field from one tenant's entry of the point JSON's
-/// `"tenants"` array: scoped to start at `"name": "<tenant>"`, so the
-/// first `key` occurrence after it is that tenant's (the global latency
-/// section precedes the array and is skipped by the scoping).
-fn tenant_num(json: &str, tenant: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{tenant}\""))?;
-    json_num(&json[at..], key)
+    w.end().key("points").array(Layout::Block);
+    for (p, r) in &records {
+        w.object(Layout::Inline)
+            .field("label", &p.label)
+            .field("workload", &p.workload)
+            .field("fabric", p.fabric.label())
+            .field("fault_plan", p.fault_plan.label())
+            .field("completed_requests", count(r, &["completed_requests"]))
+            .field("failed_requests", count(r, &["faults", "failed_requests"]))
+            .field("availability", availability(r))
+            .end();
+    }
+    w.end().end();
+    venice_bench::write_result(path, "fault ablation", &doc);
 }
 
 /// Distills the `tenants` grid into `results/tenant_isolation.json`.
@@ -319,57 +340,30 @@ fn tenant_num(json: &str, tenant: &str, key: &str) -> Option<f64> {
 /// `venice_protects_victim` asserts Venice's degradation under the
 /// fair-share tenant set is strictly lower than every bus design's — path
 /// diversity, not just queue arbitration, is what isolates the victim.
-fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
-    let mut point_lines = Vec::new();
+fn write_tenant_isolation(outcome: &ResumedSweep, path: &Path) {
+    let records = parsed_points(outcome);
+    let p99 = |r, name| tenant(r, name).and_then(|t| num(t, &["p99_ns"]));
+    // Single-tenant points carry one pooled "all" tenant; the victim
+    // stream is tenant "victim" on the multi-tenant sets.
+    let victim = |r| p99(r, "victim").or_else(|| p99(r, "all")).unwrap_or(0.0);
     // (workload, tenant set, fabric) -> victim p99 ns
-    let mut victim_p99: Vec<((&str, &str, &str), f64)> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        // Single-tenant points carry one pooled "all" tenant; the victim
-        // stream is tenant "victim" on the multi-tenant sets.
-        let victim = tenant_num(json, "victim", "p99_ns")
-            .or_else(|| tenant_num(json, "all", "p99_ns"))
-            .unwrap_or(0.0);
-        let aggressor = tenant_num(json, "aggressor", "p99_ns");
-        let fairness = json_num(json, "fairness_index").unwrap_or(1.0);
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"tenants\": {}, \
-             \"fabric\": {}, \"victim_p99_ns\": {}, \"aggressor_p99_ns\": {}, \
-             \"fairness_index\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(&p.tenants),
-            json_str(p.fabric.label()),
-            json_f64(victim),
-            aggressor.map_or("null".to_string(), |a| json_f64(a).to_string()),
-            json_f64(fairness),
-        ));
-        victim_p99.push(((p.workload.as_str(), p.tenants.as_str(), p.fabric.label()), victim));
+    let mut victim_p99 = MeanBy::new();
+    for (p, r) in &records {
+        victim_p99.add(
+            (p.workload.as_str(), p.tenants.as_str(), p.fabric.label()),
+            victim(r),
+        );
     }
-    let lookup = |workload: &str, tenants: &str, fabric: &str| {
-        victim_p99
-            .iter()
-            .find(|((w, t, f), _)| *w == workload && *t == tenants && *f == fabric)
-            .map(|(_, v)| *v)
-            .filter(|v| *v > 0.0)
-    };
     // Victim p99 degradation per fabric: shared run over solo run.
-    let degradation = |fabric: &str, set: &str| {
-        let solo = lookup("victim-solo", "single", fabric)?;
-        let shared = lookup("noisy-neighbor", set, fabric)?;
-        Some(shared / solo)
+    let degradation = |fabric, set| {
+        let p99 = |workload, set| {
+            victim_p99
+                .mean(&(workload, set, fabric))
+                .filter(|v| *v > 0.0)
+        };
+        Some(p99("noisy-neighbor", set)? / p99("victim-solo", "single")?)
     };
     let buses = ["Baseline", "pSSD", "pnSSD"];
-    let deg_lines: Vec<String> = ["Baseline", "pSSD", "pnSSD", "Venice"]
-        .iter()
-        .map(|fabric| {
-            format!(
-                "    {{\"fabric\": {}, \"pair_fair\": {}, \"victim_boost\": {}}}",
-                json_str(fabric),
-                json_f64(degradation(fabric, "pair-fair").unwrap_or(0.0)),
-                json_f64(degradation(fabric, "victim-boost").unwrap_or(0.0)),
-            )
-        })
-        .collect();
     let venice = degradation("Venice", "pair-fair").unwrap_or(f64::MAX);
     let worst_bus = buses
         .iter()
@@ -379,38 +373,42 @@ fn write_tenant_isolation(outcome: &ResumedSweep, path: &std::path::Path) {
         .iter()
         .filter_map(|b| degradation(b, "pair-fair"))
         .fold(f64::MAX, f64::min);
-    let protects = venice < best_bus;
-    let doc = format!(
-        "{{\n  \"name\": \"tenant_isolation\",\n  \"grid\": \"tenants\",\n  \
-         \"headline\": {{\"venice_protects_victim\": {protects}, \
-         \"venice_victim_p99_degradation\": {}, \
-         \"best_bus_victim_p99_degradation\": {}, \
-         \"worst_bus_victim_p99_degradation\": {}}},\n  \
-         \"victim_p99_degradation_by_fabric\": [\n{}\n  ],\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice),
-        json_f64(best_bus),
-        json_f64(worst_bus),
-        deg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] tenant isolation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    let mut doc = String::new();
+    let mut w = ablation_doc(&mut doc, "tenant_isolation", "tenants");
+    w.key("headline")
+        .object(Layout::Inline)
+        .field("venice_protects_victim", venice < best_bus)
+        .field("venice_victim_p99_degradation", venice)
+        .field("best_bus_victim_p99_degradation", best_bus)
+        .field("worst_bus_victim_p99_degradation", worst_bus)
+        .end();
+    w.key("victim_p99_degradation_by_fabric")
+        .array(Layout::Block);
+    for fabric in ["Baseline", "pSSD", "pnSSD", "Venice"] {
+        w.object(Layout::Inline)
+            .field("fabric", fabric)
+            .field("pair_fair", degradation(fabric, "pair-fair").unwrap_or(0.0))
+            .field(
+                "victim_boost",
+                degradation(fabric, "victim-boost").unwrap_or(0.0),
+            )
+            .end();
     }
+    w.end().key("points").array(Layout::Block);
+    for (p, r) in &records {
+        w.object(Layout::Inline)
+            .field("label", &p.label)
+            .field("workload", &p.workload)
+            .field("tenants", &p.tenants)
+            .field("fabric", p.fabric.label())
+            .field("victim_p99_ns", victim(r))
+            .field("aggressor_p99_ns", p99(r, "aggressor"))
+            .field("fairness_index", num(r, &["fairness_index"]).unwrap_or(1.0))
+            .end();
+    }
+    w.end().end();
+    venice_bench::write_result(path, "tenant isolation", &doc);
 }
-
-/// Extracts a numeric field from the point JSON's top-level
-/// `"resilience"` object: scoped to start there, so tenant entries (whose
-/// `deadline_misses`/`deadline_met` fields precede it) are skipped.
-fn resilience_num(json: &str, key: &str) -> Option<f64> {
-    let at = json.find("\"resilience\": {")?;
-    json_num(&json[at..], key)
-}
-
-/// Per-(fault plan, resilience policy, tenant set, fabric) goodput
-/// accumulator cell.
-type GoodputCell<'a> = ((&'a str, &'a str, &'a str, &'a str), (f64, u32));
 
 /// Distills the `resilience` grid into `results/resilience_ablation.json`:
 /// one entry per point plus per-(plan × policy × fabric) mean goodput
@@ -420,73 +418,23 @@ type GoodputCell<'a> = ((&'a str, &'a str, &'a str, &'a str), (f64, u32));
 /// deadlines when faults and overload hit together — path diversity turns
 /// the host layer's aborts and retries into recovered goodput instead of
 /// repeated misses against a dead row.
-fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
-    let mut point_lines = Vec::new();
-    let mut agg: Vec<GoodputCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let goodput = resilience_num(json, "goodput").unwrap_or(0.0);
-        let met = resilience_num(json, "deadline_met").unwrap_or(0.0) as u64;
-        let misses = resilience_num(json, "deadline_misses").unwrap_or(0.0) as u64;
-        let retries = resilience_num(json, "host_retries").unwrap_or(0.0) as u64;
-        let shed = resilience_num(json, "shed_requests").unwrap_or(0.0) as u64;
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0) as u64;
-        // On deadline-split points, the per-class miss counts show the
-        // latency class absorbing the policy's pressure while the batch
-        // class (relaxed deadline) and the unarmed class stay clean.
-        let victim_misses = tenant_num(json, "victim", "deadline_misses").unwrap_or(0.0) as u64;
-        let batch_misses = tenant_num(json, "batch", "deadline_misses").unwrap_or(0.0) as u64;
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fabric\": {}, \
-             \"fault_plan\": {}, \"resilience\": {}, \"tenants\": {}, \
-             \"completed_requests\": {completed}, \"deadline_met\": {met}, \
-             \"deadline_misses\": {misses}, \"latency_class_misses\": {victim_misses}, \
-             \"batch_class_misses\": {batch_misses}, \"host_retries\": {retries}, \
-             \"shed_requests\": {shed}, \"goodput\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.fabric.label()),
-            json_str(p.fault_plan.label()),
-            json_str(p.resilience.label()),
-            json_str(&p.tenants),
-            json_f64(goodput),
-        ));
+fn write_resilience_ablation(outcome: &ResumedSweep, path: &Path) {
+    let records = parsed_points(outcome);
+    let goodput = |r: &Value| num(r, &["resilience", "goodput"]).unwrap_or(0.0);
+    // (fault plan, resilience policy, tenant set, fabric) -> mean goodput
+    let mut agg = MeanBy::new();
+    for (p, r) in &records {
         let key = (
             p.fault_plan.label(),
             p.resilience.label(),
             p.tenants.as_str(),
             p.fabric.label(),
         );
-        match agg.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, (sum, n))) => {
-                *sum += goodput;
-                *n += 1;
-            }
-            None => agg.push((key, (goodput, 1))),
-        }
+        agg.add(key, goodput(r));
     }
     // Headline means are scoped to the single-tenant rows so adding the
     // deadline-split axis can never shift the fabric comparison.
-    let mean = |plan: &str, policy: &str, fabric: &str| {
-        agg.iter()
-            .find(|((pl, po, tn, fb), _)| {
-                *pl == plan && *po == policy && *tn == "single" && *fb == fabric
-            })
-            .map(|(_, (sum, n))| sum / f64::from(*n))
-    };
-    let agg_lines: Vec<String> = agg
-        .iter()
-        .map(|((plan, policy, tenants, fabric), (sum, n))| {
-            format!(
-                "    {{\"fault_plan\": {}, \"resilience\": {}, \"tenants\": {}, \
-                 \"fabric\": {}, \"mean_goodput\": {}}}",
-                json_str(plan),
-                json_str(policy),
-                json_str(tenants),
-                json_str(fabric),
-                json_f64(sum / f64::from(*n)),
-            )
-        })
-        .collect();
+    let mean = |plan, policy, fabric| agg.mean(&(plan, policy, "single", fabric));
     // Headline: the permanent link fault with the whole host layer armed.
     // The bus fabrics lose a whole row to the dead link, so a slice of
     // every tenant's requests burns through its retry budget and goes
@@ -500,30 +448,54 @@ fn write_resilience_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
         .iter()
         .filter_map(|b| mean("link", "full", b))
         .fold(0.0f64, f64::max);
-    let highest = venice > best_bus;
-    let doc = format!(
-        "{{\n  \"name\": \"resilience_ablation\",\n  \"grid\": \"resilience\",\n  \
-         \"headline\": {{\"venice_highest_goodput\": {highest}, \
-         \"fault_plan\": \"link\", \"resilience\": \"full\", \
-         \"venice_goodput\": {}, \"best_bus_goodput\": {}}},\n  \
-         \"goodput_by_policy\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice),
-        json_f64(best_bus),
-        agg_lines.join(",\n"),
-        point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] resilience ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    let mut doc = String::new();
+    let mut w = ablation_doc(&mut doc, "resilience_ablation", "resilience");
+    w.key("headline")
+        .object(Layout::Inline)
+        .field("venice_highest_goodput", venice > best_bus)
+        .field("fault_plan", "link")
+        .field("resilience", "full")
+        .field("venice_goodput", venice)
+        .field("best_bus_goodput", best_bus)
+        .end();
+    w.key("goodput_by_policy").array(Layout::Block);
+    for ((plan, policy, tenants, fabric), m) in agg.means() {
+        w.object(Layout::Inline)
+            .field("fault_plan", plan)
+            .field("resilience", policy)
+            .field("tenants", tenants)
+            .field("fabric", fabric)
+            .field("mean_goodput", m)
+            .end();
     }
-}
-
-/// Extracts a numeric field from the point JSON's top-level
-/// `"redundancy"` object: scoped to start there, so the per-tenant
-/// `data_loss` fields (which precede it in the document) are skipped.
-fn redundancy_num(json: &str, key: &str) -> Option<f64> {
-    let at = json.find("\"redundancy\": {")?;
-    json_num(&json[at..], key)
+    w.end().key("points").array(Layout::Block);
+    for (p, r) in &records {
+        // On deadline-split points, the per-class miss counts show the
+        // latency class absorbing the policy's pressure while the batch
+        // class (relaxed deadline) and the unarmed class stay clean.
+        let class_misses = |name| tenant(r, name).map_or(0, |t| count(t, &["deadline_misses"]));
+        w.object(Layout::Inline)
+            .field("label", &p.label)
+            .field("workload", &p.workload)
+            .field("fabric", p.fabric.label())
+            .field("fault_plan", p.fault_plan.label())
+            .field("resilience", p.resilience.label())
+            .field("tenants", &p.tenants)
+            .field("completed_requests", count(r, &["completed_requests"]))
+            .field("deadline_met", count(r, &["resilience", "deadline_met"]))
+            .field(
+                "deadline_misses",
+                count(r, &["resilience", "deadline_misses"]),
+            )
+            .field("latency_class_misses", class_misses("victim"))
+            .field("batch_class_misses", class_misses("batch"))
+            .field("host_retries", count(r, &["resilience", "host_retries"]))
+            .field("shed_requests", count(r, &["resilience", "shed_requests"]))
+            .field("goodput", goodput(r))
+            .end();
+    }
+    w.end().end();
+    venice_bench::write_result(path, "resilience ablation", &doc);
 }
 
 /// Simulated nanosecond at which [`FaultPlan::Chip`] kills its die — the
@@ -571,59 +543,40 @@ impl RebuildCell {
 /// NoSSD, the other mesh, is excluded from the booleans (its points still
 /// land in the artifact), mirroring the bus-only precedent of the fault,
 /// tenant-isolation, and resilience ablation headlines.
-fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
-    let mut point_lines = Vec::new();
-    let mut cells: Vec<RebuildCell> = Vec::new();
-    for (p, json) in outcome.points().iter().zip(outcome.point_jsons()) {
-        let data_loss = redundancy_num(json, "data_loss_requests").unwrap_or(0.0) as u64;
-        let degraded = redundancy_num(json, "degraded_reads").unwrap_or(0.0) as u64;
-        let rebuilt = redundancy_num(json, "rebuilt_pages").unwrap_or(0.0) as u64;
-        let skipped = redundancy_num(json, "rebuild_skipped_pages").unwrap_or(0.0) as u64;
-        let done_ns = redundancy_num(json, "rebuild_done_ns").unwrap_or(0.0);
-        let completed = json_num(json, "completed_requests").unwrap_or(0.0);
-        let failed = json_num(json, "failed_requests").unwrap_or(0.0);
-        let exec_ns = json_num(json, "execution_time_ns").unwrap_or(0.0);
-        // Successful completions only: a fabric that fast-fails the
-        // severed row's requests must not "win" goodput on error
-        // completions it never actually served.
-        let goodput = if exec_ns > 0.0 {
-            (completed - failed).max(0.0) / (exec_ns / 1e9)
-        } else {
-            0.0
-        };
-        let mttr_ns = if done_ns > CHIP_DEATH_NS {
-            done_ns - CHIP_DEATH_NS
-        } else {
-            0.0
-        };
-        point_lines.push(format!(
-            "    {{\"label\": {}, \"workload\": {}, \"fault\": {}, \
-             \"fabric\": {}, \
-             \"redundancy\": {}, \"completed_requests\": {}, \
-             \"data_loss_requests\": {data_loss}, \"degraded_reads\": {degraded}, \
-             \"rebuilt_pages\": {rebuilt}, \"rebuild_skipped_pages\": {skipped}, \
-             \"rebuild_mttr_ns\": {}, \
-             \"foreground_goodput\": {}}}",
-            json_str(&p.label),
-            json_str(&p.workload),
-            json_str(p.fault_plan.label()),
-            json_str(p.fabric.label()),
-            json_str(&p.redundancy.label()),
-            completed as u64,
-            json_f64(mttr_ns),
-            json_f64(goodput),
-        ));
-        cells.push(RebuildCell {
-            fault: p.fault_plan.label(),
-            redundancy: p.redundancy.label(),
-            fabric: p.fabric.label(),
-            data_loss,
-            goodput,
-            mttr_ns,
-            rebuilt,
-            skipped,
-        });
-    }
+fn write_rebuild_ablation(outcome: &ResumedSweep, path: &Path) {
+    let records = parsed_points(outcome);
+    let cells: Vec<RebuildCell> = records
+        .iter()
+        .map(|(p, r)| {
+            let completed = num(r, &["completed_requests"]).unwrap_or(0.0);
+            let failed = num(r, &["faults", "failed_requests"]).unwrap_or(0.0);
+            let exec_ns = num(r, &["execution_time_ns"]).unwrap_or(0.0);
+            let done_ns = num(r, &["redundancy", "rebuild_done_ns"]).unwrap_or(0.0);
+            // Successful completions only: a fabric that fast-fails the
+            // severed row's requests must not "win" goodput on error
+            // completions it never actually served.
+            let goodput = if exec_ns > 0.0 {
+                (completed - failed).max(0.0) / (exec_ns / 1e9)
+            } else {
+                0.0
+            };
+            let mttr_ns = if done_ns > CHIP_DEATH_NS {
+                done_ns - CHIP_DEATH_NS
+            } else {
+                0.0
+            };
+            RebuildCell {
+                fault: p.fault_plan.label(),
+                redundancy: p.redundancy.label(),
+                fabric: p.fabric.label(),
+                data_loss: count(r, &["redundancy", "data_loss_requests"]),
+                goodput,
+                mttr_ns,
+                rebuilt: count(r, &["redundancy", "rebuilt_pages"]),
+                skipped: count(r, &["redundancy", "rebuild_skipped_pages"]),
+            }
+        })
+        .collect();
     let parity: Vec<&RebuildCell> = cells
         .iter()
         .filter(|c| c.redundancy.starts_with("parity"))
@@ -643,34 +596,50 @@ fn write_rebuild_ablation(outcome: &ResumedSweep, path: &std::path::Path) {
     let bus = |f: &str| matches!(f, "Baseline" | "pSSD" | "pnSSD");
     let head: Vec<&&RebuildCell> = parity.iter().filter(|c| c.fault == "chip-link").collect();
     let venice = head.iter().find(|c| c.fabric == "Venice");
+    let rivals: Vec<&&RebuildCell> = head.iter().copied().filter(|c| bus(c.fabric)).collect();
     let venice_highest_goodput = venice.is_some_and(|v| {
-        let rivals: Vec<&&&RebuildCell> = head.iter().filter(|c| bus(c.fabric)).collect();
         !rivals.is_empty() && rivals.iter().all(|c| v.goodput > c.goodput)
     });
     let venice_lowest_mttr = venice.is_some_and(|v| {
-        let rivals: Vec<&&&RebuildCell> = head.iter().filter(|c| bus(c.fabric)).collect();
         v.recovered()
             && !rivals.is_empty()
             && rivals.iter().all(|c| !c.recovered() || v.mttr_ns < c.mttr_ns)
     });
     let (venice_goodput, venice_mttr) =
         venice.map_or((0.0, 0.0), |v| (v.goodput, v.mttr_ns));
-    let doc = format!(
-        "{{\n  \"name\": \"rebuild_ablation\",\n  \"grid\": \"rebuild\",\n  \
-         \"headline\": {{\"parity_zero_data_loss\": {parity_zero_data_loss}, \
-         \"venice_highest_goodput\": {venice_highest_goodput}, \
-         \"venice_lowest_mttr\": {venice_lowest_mttr}, \
-         \"bare_data_loss_requests\": {bare_data_loss}, \
-         \"venice_foreground_goodput\": {}, \"venice_mttr_ns\": {}}},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        json_f64(venice_goodput),
-        json_f64(venice_mttr),
-        point_lines.join(",\n"),
-    );
-    match std::fs::write(path, doc) {
-        Ok(()) => eprintln!("[venice-bench] rebuild ablation: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    let mut doc = String::new();
+    let mut w = ablation_doc(&mut doc, "rebuild_ablation", "rebuild");
+    w.key("headline")
+        .object(Layout::Inline)
+        .field("parity_zero_data_loss", parity_zero_data_loss)
+        .field("venice_highest_goodput", venice_highest_goodput)
+        .field("venice_lowest_mttr", venice_lowest_mttr)
+        .field("bare_data_loss_requests", bare_data_loss)
+        .field("venice_foreground_goodput", venice_goodput)
+        .field("venice_mttr_ns", venice_mttr)
+        .end();
+    w.key("points").array(Layout::Block);
+    for ((p, r), c) in records.iter().zip(&cells) {
+        w.object(Layout::Inline)
+            .field("label", &p.label)
+            .field("workload", &p.workload)
+            .field("fault", c.fault)
+            .field("fabric", c.fabric)
+            .field("redundancy", &c.redundancy)
+            .field("completed_requests", count(r, &["completed_requests"]))
+            .field("data_loss_requests", c.data_loss)
+            .field(
+                "degraded_reads",
+                count(r, &["redundancy", "degraded_reads"]),
+            )
+            .field("rebuilt_pages", c.rebuilt)
+            .field("rebuild_skipped_pages", c.skipped)
+            .field("rebuild_mttr_ns", c.mttr_ns)
+            .field("foreground_goodput", c.goodput)
+            .end();
     }
+    w.end().end();
+    venice_bench::write_result(path, "rebuild ablation", &doc);
 }
 
 fn main() {

@@ -8,24 +8,29 @@
 //! ```
 //!
 //! Each argument is a sweep directory (containing `manifest.json`) or a
-//! manifest path. Points are matched **by label**; for every pair the tool
-//! reports deltas in the headline metrics (execution time, events, and —
-//! when the per-point records are readable — conflicted requests and
-//! energy), plus the manifests' grid/metrics fingerprints. Use it to diff
-//! the same grid before and after an engine change, or — with
-//! `--ignore-scout-cache`, which folds the label's scout-cache segment so
-//! a `--scout-cache on` run lines up with a `--scout-cache off` run — a
-//! cache-on vs cache-off big-mesh sweep, where every simulated-behavior
-//! metric must come out identical. Under that flag the tool also compares
-//! each pair's *whole* point record, and reports an effort-masked
-//! fingerprint per side, with the scout-cache label and its fast-fail and
-//! invalidation counters masked (the only fields the cache may change).
+//! manifest path. Points are matched **by label**, and a pair is identical
+//! when its two parsed point records are equal in every field. For each
+//! differing pair the tool reports deltas in the headline metrics
+//! (execution time, events, conflicted requests, energy) and names the
+//! top-level fields that differ; it also prints the manifests' grid and
+//! metrics fingerprints. Use it to diff the same grid before and after an
+//! engine change, or — with `--ignore-scout-cache`, which folds the
+//! label's scout-cache segment so a `--scout-cache on` run lines up with a
+//! `--scout-cache off` run — a cache-on vs cache-off big-mesh sweep, where
+//! every simulated-behavior metric must come out identical. Under that
+//! flag the scout-cache label and its fast-fail and invalidation counters
+//! (the only fields the cache may change) are removed from both records
+//! before comparing, and the tool reports an effort-masked fingerprint per
+//! side.
 //!
 //! Exit status: 0 when every matched point's compared metrics are equal
 //! and the point sets match, 1 otherwise *only* under `--strict` (without
 //! it the tool is purely informational and always exits 0).
 
 use std::path::{Path, PathBuf};
+
+use venice_bench::{fnv1a, FNV_OFFSET};
+use venice_ssd::json::{ToJson, Value};
 
 /// One point as indexed by a manifest: label, record file, headline values.
 struct PointEntry {
@@ -47,35 +52,6 @@ struct Manifest {
     points: Vec<PointEntry>,
 }
 
-/// Extracts the string value of the **first** `"key": "..."` field.
-fn json_str_field(json: &str, key: &str) -> Option<String> {
-    venice_bench::microbench::json_str_fields(json, key)
-        .into_iter()
-        .next()
-}
-
-/// Extracts the unsigned integer right after the first `"key": ` in `json`
-/// (kept exact — the shared f64 extractor would lose precision on large
-/// event counts).
-fn json_u64_field(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let digits: String = json[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the raw token (number) after the first `"key": ` occurrence.
-fn json_raw_field(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": ");
-    let at = json.find(&needle)?;
-    let rest = &json[at + needle.len()..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().to_string())
-}
-
 fn load_manifest(arg: &str) -> Manifest {
     let path = Path::new(arg);
     let (dir, manifest_path) = if path.is_dir() {
@@ -86,38 +62,44 @@ fn load_manifest(arg: &str) -> Manifest {
             path.to_path_buf(),
         )
     };
-    let json = std::fs::read_to_string(&manifest_path).unwrap_or_else(|e| {
-        panic!("cannot read manifest {}: {e}", manifest_path.display())
-    });
-    let points_at = json
-        .find("\"points\": [")
-        .unwrap_or_else(|| panic!("{}: no points index", manifest_path.display()));
-    let mut points = Vec::new();
-    for line in json[points_at..].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        let (Some(label), Some(file)) =
-            (json_str_field(line, "label"), json_str_field(line, "file"))
-        else {
-            continue;
-        };
-        points.push(PointEntry {
-            label,
-            file,
-            status: json_str_field(line, "status").unwrap_or_else(|| "complete".to_string()),
-            execution_time_ns: json_u64_field(line, "execution_time_ns").unwrap_or(0),
-            events: json_u64_field(line, "events").unwrap_or(0),
-        });
-    }
+    let doc = std::fs::read_to_string(&manifest_path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| Value::parse(&json).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| panic!("cannot read manifest {}: {e}", manifest_path.display()));
+    let text = |v: &Value, key| v.get(key).and_then(Value::as_str).map(str::to_string);
+    let count = |v: &Value, key| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let points = doc
+        .get("points")
+        .and_then(Value::as_array)
+        .unwrap_or_else(|| panic!("{}: no points index", manifest_path.display()))
+        .iter()
+        .filter_map(|p| {
+            Some(PointEntry {
+                label: text(p, "label")?,
+                file: text(p, "file")?,
+                status: text(p, "status").unwrap_or_else(|| "complete".to_string()),
+                execution_time_ns: count(p, "execution_time_ns"),
+                events: count(p, "events"),
+            })
+        })
+        .collect();
     Manifest {
-        name: json_str_field(&json, "name").unwrap_or_default(),
-        grid_hash: json_str_field(&json, "grid_hash").unwrap_or_default(),
-        metrics_fingerprint: json_str_field(&json, "metrics_fingerprint").unwrap_or_default(),
+        name: text(&doc, "name").unwrap_or_default(),
+        grid_hash: text(&doc, "grid_hash").unwrap_or_default(),
+        metrics_fingerprint: text(&doc, "metrics_fingerprint").unwrap_or_default(),
         dir,
         points,
     }
+}
+
+/// A point's parsed record (`None` when unreadable or malformed), with the
+/// cache-effort fields removed under `--ignore-scout-cache`.
+fn load_record(m: &Manifest, p: &PointEntry, ignore_cache: bool) -> Option<Value> {
+    let mut record = Value::parse(&std::fs::read_to_string(m.dir.join(&p.file)).ok()?).ok()?;
+    if ignore_cache {
+        remove_cache_effort(&mut record);
+    }
+    Some(record)
 }
 
 /// Percent delta of `b` relative to `a` (`0` when both zero).
@@ -139,38 +121,53 @@ fn fold_cache_segment(label: &str) -> String {
     out
 }
 
-/// A point record with the fields the scout cache may change masked: the
-/// `scout_cache` label and the `scout_fastfails` /
-/// `scout_cache_invalidations` effort counters.
-fn mask_cache_effort(record: &str) -> String {
-    let mut out = String::with_capacity(record.len());
-    let mut rest = record;
-    loop {
-        let next = ["\"scout_cache\": ", "\"scout_fastfails\": ", "\"scout_cache_invalidations\": "]
-            .iter()
-            .filter_map(|key| rest.find(key).map(|at| (at, key.len())))
-            .min();
-        let Some((at, key_len)) = next else {
-            out.push_str(rest);
-            return out;
-        };
-        out.push_str(&rest[..at + key_len]);
-        out.push('*');
-        rest = &rest[at + key_len..];
-        rest = &rest[rest.find([',', '}', '\n']).unwrap_or(rest.len())..];
+/// The fields the scout cache may change: its label and its effort
+/// counters.
+const CACHE_EFFORT_KEYS: [&str; 3] = [
+    "scout_cache",
+    "scout_fastfails",
+    "scout_cache_invalidations",
+];
+
+/// Removes the [`CACHE_EFFORT_KEYS`] wherever they sit in a record.
+fn remove_cache_effort(value: &mut Value) {
+    match value {
+        Value::Object(members) => {
+            members.retain(|(k, _)| !CACHE_EFFORT_KEYS.contains(&k.as_str()));
+            members.iter_mut().for_each(|(_, v)| remove_cache_effort(v));
+        }
+        Value::Array(items) => items.iter_mut().for_each(remove_cache_effort),
+        _ => {}
     }
 }
 
 /// FNV-1a over the effort-masked point records in manifest order; an
 /// unreadable record folds in as empty.
 fn masked_fingerprint(m: &Manifest) -> String {
-    let h = m.points.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
-        let record = std::fs::read_to_string(m.dir.join(&p.file)).unwrap_or_default();
-        mask_cache_effort(&record)
-            .bytes()
-            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    let h = m.points.iter().fold(FNV_OFFSET, |h, p| {
+        let mut text = String::new();
+        if let Some(record) = load_record(m, p, true) {
+            record.write_json(&mut text);
+        }
+        fnv1a(text.as_bytes(), h)
     });
     format!("{h:016x}")
+}
+
+/// The top-level fields whose values differ between two records (present
+/// in one only, or unequal).
+fn differing_fields<'a>(a: &'a Value, b: &'a Value) -> Vec<&'a str> {
+    let (ma, mb) = (
+        a.as_object().unwrap_or_default(),
+        b.as_object().unwrap_or_default(),
+    );
+    let mut keys: Vec<&str> = Vec::new();
+    for (k, _) in ma.iter().chain(mb) {
+        if a.get(k) != b.get(k) && !keys.contains(&k.as_str()) {
+            keys.push(k);
+        }
+    }
+    keys
 }
 
 fn main() {
@@ -257,45 +254,39 @@ fn main() {
             continue;
         }
         compared += 1;
-        // Prefer the full point records for deeper metrics; fall back to
-        // the manifest's headline numbers when a record is unreadable.
-        let ra = std::fs::read_to_string(a.dir.join(&pa.file)).ok();
-        let rb = std::fs::read_to_string(b.dir.join(&pb.file)).ok();
-        let field = |r: &Option<String>, key: &str, fallback: u64| {
-            r.as_deref()
-                .and_then(|j| json_u64_field(j, key))
-                .unwrap_or(fallback)
-        };
-        let (exec_a, exec_b) = (
-            field(&ra, "execution_time_ns", pa.execution_time_ns),
-            field(&rb, "execution_time_ns", pb.execution_time_ns),
-        );
-        let (ev_a, ev_b) = (field(&ra, "events", pa.events), field(&rb, "events", pb.events));
-        let (cf_a, cf_b) = (
-            field(&ra, "conflicted_requests", 0),
-            field(&rb, "conflicted_requests", 0),
-        );
-        let en_a = ra.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
-        let en_b = rb.as_deref().and_then(|j| json_raw_field(j, "energy_mj"));
-        let energy_same = en_a == en_b;
-        let records_same = !ignore_cache
-            || ra.as_deref().map(mask_cache_effort) == rb.as_deref().map(mask_cache_effort);
-        let same =
-            exec_a == exec_b && ev_a == ev_b && cf_a == cf_b && energy_same && records_same;
-        if !same {
-            mismatched_points += 1;
-        }
+        let ra = load_record(&a, pa, ignore_cache);
+        let rb = load_record(&b, pb, ignore_cache);
+        // An unreadable record never matches: the gate compares whole
+        // records, not just the manifest's headline numbers.
+        let same = ra.is_some()
+            && ra == rb
+            && pa.execution_time_ns == pb.execution_time_ns
+            && pa.events == pb.events;
         // Print only differing points (plus a one-line summary below);
         // identical points would drown the signal on big grids.
         if !same {
+            mismatched_points += 1;
+            let field = |r: &Option<Value>, key| r.as_ref().and_then(|r| r.get(key)).cloned();
+            let conflicted = |r| {
+                field(r, "conflicted_requests")
+                    .and_then(|v| v.as_u64())
+                    .unwrap_or(0)
+            };
+            let energy_same = field(&ra, "energy_mj") == field(&rb, "energy_mj");
             println!(
                 "{:<64} {:>+13.3}% {:>+9.3}% {:>+10} {:>12}",
                 pa.label,
-                pct(exec_a, exec_b),
-                pct(ev_a, ev_b),
-                cf_b as i64 - cf_a as i64,
+                pct(pa.execution_time_ns, pb.execution_time_ns),
+                pct(pa.events, pb.events),
+                conflicted(&rb) as i64 - conflicted(&ra) as i64,
                 if energy_same { "same" } else { "DIFFERS" },
             );
+            match (&ra, &rb) {
+                (Some(ra), Some(rb)) => {
+                    println!("    fields differ: {}", differing_fields(ra, rb).join(", "))
+                }
+                _ => println!("    point record unreadable in A or B"),
+            }
         }
     }
     let only_in_b = b_used.iter().filter(|&&u| !u).count();
@@ -323,19 +314,28 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::mask_cache_effort;
+    use super::*;
 
     #[test]
     fn masking_hides_only_the_cache_effort_fields() {
+        let parse = |s: &str| {
+            let mut v = Value::parse(s).unwrap();
+            remove_cache_effort(&mut v);
+            v
+        };
         let on = "{\"scout_cache\": \"cache-on\",\n  \"fabric\": {\"scout_steps\": 9, \
                   \"scout_fastfails\": 14, \"scout_cache_invalidations\": 3, \"hops_total\": 5}}";
         let off = on
             .replace("cache-on", "cache-off")
             .replace("\"scout_fastfails\": 14", "\"scout_fastfails\": 0")
             .replace("\"scout_cache_invalidations\": 3", "\"scout_cache_invalidations\": 0");
-        assert_eq!(mask_cache_effort(on), mask_cache_effort(&off));
-        assert!(mask_cache_effort(on).contains("\"scout_steps\": 9"));
+        assert_eq!(parse(on), parse(&off));
+        assert_eq!(
+            parse(on).get("fabric").and_then(|f| f.get("scout_steps")),
+            Some(&Value::U64(9))
+        );
         let other = on.replace("\"scout_steps\": 9", "\"scout_steps\": 8");
-        assert_ne!(mask_cache_effort(on), mask_cache_effort(&other));
+        assert_ne!(parse(on), parse(&other));
+        assert_eq!(differing_fields(&parse(on), &parse(&other)), ["fabric"]);
     }
 }

@@ -30,7 +30,7 @@ pub mod figures;
 pub mod microbench;
 pub mod sweep;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use venice_interconnect::FabricKind;
 use venice_ssd::{run_single, RunMetrics, SsdConfig};
@@ -103,6 +103,48 @@ pub fn real_systems() -> [FabricKind; 5] {
         FabricKind::NoSsd,
         FabricKind::Venice,
     ]
+}
+
+/// FNV-1a 64-bit offset basis (the seed of an unchained hash).
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64-bit round over `bytes`, continuing from `seed` so hashes
+/// can be chained across records (the sweep fingerprints, the ledger's
+/// artifact fingerprint).
+pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+    bytes.iter().fold(seed, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `git describe --always --dirty --tags` of the working tree, or
+/// `"unknown"` outside a git checkout (provenance for manifests and ledger
+/// entries; never part of a fingerprint).
+pub fn git_describe() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--tags"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Writes a JSON result document to `path` (creating its directory),
+/// ending it with a newline, and reports where it landed on stderr, or
+/// warns when the write fails: result files are best-effort, never a
+/// reason to abort a finished run.
+pub fn write_result(path: &Path, what: &str, doc: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, format!("{doc}\n")));
+    match written {
+        Ok(()) => eprintln!("[venice-bench] {what}: {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
 }
 
 /// Throughput summary of one sweep.

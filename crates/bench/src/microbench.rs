@@ -13,6 +13,8 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use venice_ssd::json::{Layout, Value, Writer};
+
 /// One measured benchmark result.
 #[derive(Clone, Debug)]
 pub struct Measurement {
@@ -116,68 +118,32 @@ impl Runner {
 
     /// Writes `results/bench_<target>.json` and returns the measurements.
     ///
-    /// JSON is emitted by hand (no serde in this workspace); the schema is
-    /// `[{"name": ..., "ns_per_iter": ..., "iters": ..., "samples": ...}]`.
+    /// The schema is `[{"name": ..., "ns_per_iter": ..., "iters": ...,
+    /// "samples": ...}]`, one measurement per line.
     pub fn finish(self) -> Vec<Measurement> {
-        let dir = crate::results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return self.measurements;
+        let mut json = String::new();
+        let mut w = Writer::new(&mut json);
+        w.array(Layout::Block);
+        for m in &self.measurements {
+            w.object(Layout::Inline)
+                .field("name", &m.name)
+                .field("ns_per_iter", round_to(m.ns_per_iter, 1))
+                .field("iters", m.iters_per_sample)
+                .field("samples", m.samples)
+                .end();
         }
-        let path = dir.join(format!("bench_{}.json", self.target));
-        let mut json = String::from("[\n");
-        for (i, m) in self.measurements.iter().enumerate() {
-            json.push_str(&format!(
-                "  {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}, \"samples\": {}}}{}\n",
-                m.name.replace('"', "'"),
-                m.ns_per_iter,
-                m.iters_per_sample,
-                m.samples,
-                if i + 1 == self.measurements.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("]\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            println!("bench results -> {}", path.display());
-        }
+        w.end();
+        let path = crate::results_dir().join(format!("bench_{}.json", self.target));
+        crate::write_result(&path, "bench results", &json);
         self.measurements
     }
 }
 
-/// Extracts the float right after every `"key": ` occurrence in one of the
-/// workspace's hand-rolled JSON documents, in document order (enough for
-/// the perf-baseline files' fixed schemas).
-pub fn json_f64_fields(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Extracts the string value of every `"key": "..."` occurrence, in
-/// document order.
-pub fn json_str_fields(json: &str, key: &str) -> Vec<String> {
-    let needle = format!("\"{key}\": \"");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        if let Some(end) = rest.find('"') {
-            out.push(rest[..end].to_string());
-        }
-    }
-    out
+/// `x` rounded to `places` decimal places (for human-scale numbers in
+/// bench summaries and ledgers).
+pub fn round_to(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
 }
 
 /// The perf-smoke gate shared by the ratio benches (`dispatch_scan`,
@@ -202,11 +168,26 @@ pub fn enforce_speedup_baseline(
         );
         return;
     };
-    let names = json_str_fields(&baseline, "name");
-    let base_speedups = json_f64_fields(&baseline, "speedup");
+    let baseline = match Value::parse(&baseline) {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("{bench} perf-smoke: {}: {e}", baseline_path.display());
+            std::process::exit(1);
+        }
+    };
     let warn_only = std::env::var("VENICE_PERF_WARN_ONLY").is_ok();
     let mut regressed = false;
-    for (name, base) in names.iter().zip(&base_speedups) {
+    for scenario in baseline
+        .get("scenarios")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+    {
+        let (Some(name), Some(base)) = (
+            scenario.get("name").and_then(Value::as_str),
+            scenario.get("speedup").and_then(Value::as_f64),
+        ) else {
+            continue;
+        };
         let Some((_, now)) = speedups.iter().find(|(n, _)| n == name) else {
             continue;
         };

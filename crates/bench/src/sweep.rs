@@ -44,14 +44,14 @@ use std::time::Instant;
 
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
-use venice_ssd::report::json_str;
+use venice_ssd::json::{Layout, Value, Writer};
 use venice_ssd::{
     run_single, DispatchPolicyKind, FaultPlan, RedundancyKind, ResiliencePolicy, RunMetrics,
     ScoutCacheKind, SsdConfig, TenantSet,
 };
 use venice_workloads::{Trace, WorkloadAxis};
 
-use crate::{CatalogRow, SweepSummary};
+use crate::{fnv1a, git_describe, CatalogRow, SweepSummary, FNV_OFFSET};
 
 /// The shared worker pool: a fixed thread budget draining a batch of
 /// independent jobs through one atomic work queue.
@@ -339,29 +339,17 @@ impl SweepGrid {
 
     /// Resolved workload axis (Table 2 catalog when none was set).
     fn effective_workloads(&self) -> Vec<WorkloadAxis> {
-        if self.workloads.is_empty() {
-            WorkloadAxis::table2()
-        } else {
-            self.workloads.clone()
-        }
+        or_default(&self.workloads, WorkloadAxis::table2)
     }
 
     /// Resolved config axis (performance-optimized when none was set).
     fn effective_configs(&self) -> Vec<SsdConfig> {
-        if self.configs.is_empty() {
-            vec![SsdConfig::performance_optimized()]
-        } else {
-            self.configs.clone()
-        }
+        or_default(&self.configs, || vec![SsdConfig::performance_optimized()])
     }
 
     /// Resolved fabric axis (all six systems when none was set).
     fn effective_fabrics(&self) -> Vec<FabricKind> {
-        if self.fabrics.is_empty() {
-            FabricKind::ALL.to_vec()
-        } else {
-            self.fabrics.clone()
-        }
+        or_default(&self.fabrics, || FabricKind::ALL.to_vec())
     }
 
     /// Expands the grid into its deterministic, id-stamped point list.
@@ -377,51 +365,15 @@ impl SweepGrid {
         let fabrics = self.effective_fabrics();
         let mut points = Vec::new();
         for base in &configs {
-            let shapes: Vec<(u16, u16)> = if self.shapes.is_empty() {
-                vec![(base.fabric.rows, base.fabric.cols)]
-            } else {
-                self.shapes.clone()
-            };
-            let timings: Vec<NandTiming> = if self.timings.is_empty() {
-                vec![base.timing]
-            } else {
-                self.timings.clone()
-            };
-            let depths: Vec<usize> = if self.queue_depths.is_empty() {
-                vec![base.hil.queue_depth]
-            } else {
-                self.queue_depths.clone()
-            };
-            let policies: Vec<DispatchPolicyKind> = if self.policies.is_empty() {
-                vec![base.dispatch]
-            } else {
-                self.policies.clone()
-            };
-            let caches: Vec<ScoutCacheKind> = if self.scout_caches.is_empty() {
-                vec![base.scout_cache()]
-            } else {
-                self.scout_caches.clone()
-            };
-            let faults: Vec<FaultPlan> = if self.faults.is_empty() {
-                vec![base.fault_plan]
-            } else {
-                self.faults.clone()
-            };
-            let tenant_sets: Vec<TenantSet> = if self.tenant_sets.is_empty() {
-                vec![base.tenants.clone()]
-            } else {
-                self.tenant_sets.clone()
-            };
-            let resiliences: Vec<ResiliencePolicy> = if self.resiliences.is_empty() {
-                vec![base.resilience]
-            } else {
-                self.resiliences.clone()
-            };
-            let redundancies: Vec<RedundancyKind> = if self.redundancies.is_empty() {
-                vec![base.redundancy]
-            } else {
-                self.redundancies.clone()
-            };
+            let shapes = or_base(&self.shapes, (base.fabric.rows, base.fabric.cols));
+            let timings = or_base(&self.timings, base.timing);
+            let depths = or_base(&self.queue_depths, base.hil.queue_depth);
+            let policies = or_base(&self.policies, base.dispatch);
+            let caches = or_base(&self.scout_caches, base.scout_cache());
+            let faults = or_base(&self.faults, base.fault_plan);
+            let tenant_sets = or_base(&self.tenant_sets, base.tenants.clone());
+            let resiliences = or_base(&self.resiliences, base.resilience);
+            let redundancies = or_base(&self.redundancies, base.redundancy);
             for (workload_idx, workload) in workloads.iter().enumerate() {
                 for &(rows, cols) in &shapes {
                     for &timing in &timings {
@@ -601,15 +553,16 @@ impl SweepGrid {
                 if !resumable {
                     return None;
                 }
+                // Records are written atomically, so parsing is belt-and-
+                // suspenders: only a whole JSON object is trusted. A failed
+                // (panicked) point's placeholder record is never reused:
+                // the resumed sweep retries it.
                 std::fs::read_to_string(dir.join(p.file_name()))
                     .ok()
-                    // Records are written atomically, so this is belt-and-
-                    // suspenders: only a structurally whole document is
-                    // trusted.
-                    .filter(|s| s.starts_with('{') && s.trim_end().ends_with('}'))
-                    // A failed (panicked) point's placeholder record is
-                    // never reused: the resumed sweep retries it.
-                    .filter(|s| !s.contains("\"status\": \"failed\""))
+                    .filter(|s| {
+                        Value::parse(s)
+                            .is_ok_and(|r| r.as_object().is_some() && record_status(&r) != "failed")
+                    })
             })
             .collect();
         let reused: Vec<bool> = jsons.iter().map(|j| j.is_some()).collect();
@@ -683,100 +636,95 @@ impl SweepGrid {
     /// The grid definition as one stable JSON object (embedded in the
     /// manifest and hashed into [`SweepOutcome::grid_hash`]).
     pub fn definition_json(&self) -> String {
-        let configs: Vec<String> = self
-            .effective_configs()
-            .iter()
-            .map(|c| c.name.to_string())
-            .collect();
-        let workloads: Vec<String> = self
-            .effective_workloads()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect();
-        let fabrics: Vec<String> = self
-            .effective_fabrics()
-            .iter()
-            .map(|f| f.label().to_string())
-            .collect();
-        let shapes: Vec<String> = if self.shapes.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.shapes.iter().map(|(r, c)| format!("{r}x{c}")).collect()
-        };
-        let timings: Vec<String> = if self.timings.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.timings
-                .iter()
-                .map(|t| t.preset_name().unwrap_or("custom").to_string())
-                .collect()
-        };
-        let depths: Vec<String> = if self.queue_depths.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.queue_depths.iter().map(|d| d.to_string()).collect()
-        };
-        let policies: Vec<String> = if self.policies.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.policies.iter().map(|p| p.label().to_string()).collect()
-        };
-        let caches: Vec<String> = if self.scout_caches.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.scout_caches
-                .iter()
-                .map(|c| c.label().to_string())
-                .collect()
-        };
-        let faults: Vec<String> = if self.faults.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.faults.iter().map(|f| f.label().to_string()).collect()
-        };
-        let tenants: Vec<String> = if self.tenant_sets.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.tenant_sets
-                .iter()
-                .map(|t| t.label().to_string())
-                .collect()
-        };
-        let resiliences: Vec<String> = if self.resiliences.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.resiliences
-                .iter()
-                .map(|r| r.label().to_string())
-                .collect()
-        };
-        let redundancies: Vec<String> = if self.redundancies.is_empty() {
-            vec!["base".to_string()]
-        } else {
-            self.redundancies.iter().map(|r| r.label()).collect()
-        };
-        format!(
-            "{{\"name\": {}, \"requests\": {}, \"configs\": {}, \
-             \"workloads\": {}, \"shapes\": {}, \"timings\": {}, \
-             \"queue_depths\": {}, \"policies\": {}, \"scout_caches\": {}, \
-             \"faults\": {}, \"tenants\": {}, \"resilience\": {}, \
-             \"redundancy\": {}, \"fabrics\": {}}}",
-            json_str(&self.name),
-            self.requests,
-            json_str_list(&configs),
-            json_str_list(&workloads),
-            json_str_list(&shapes),
-            json_str_list(&timings),
-            json_str_list(&depths),
-            json_str_list(&policies),
-            json_str_list(&caches),
-            json_str_list(&faults),
-            json_str_list(&tenants),
-            json_str_list(&resiliences),
-            json_str_list(&redundancies),
-            json_str_list(&fabrics),
-        )
+        /// An empty axis keeps the base config's value, recorded as `base`.
+        fn labels<T>(axis: &[T], label: impl Fn(&T) -> String) -> Vec<String> {
+            or_base(
+                &axis.iter().map(label).collect::<Vec<_>>(),
+                "base".to_string(),
+            )
+        }
+        let axes: [(&str, Vec<String>); 12] = [
+            (
+                "configs",
+                self.effective_configs()
+                    .iter()
+                    .map(|c| c.name.to_string())
+                    .collect(),
+            ),
+            (
+                "workloads",
+                self.effective_workloads()
+                    .iter()
+                    .map(|w| w.name().to_string())
+                    .collect(),
+            ),
+            ("shapes", labels(&self.shapes, |(r, c)| format!("{r}x{c}"))),
+            (
+                "timings",
+                labels(&self.timings, |t| {
+                    t.preset_name().unwrap_or("custom").to_string()
+                }),
+            ),
+            (
+                "queue_depths",
+                labels(&self.queue_depths, |d| d.to_string()),
+            ),
+            (
+                "policies",
+                labels(&self.policies, |p| p.label().to_string()),
+            ),
+            (
+                "scout_caches",
+                labels(&self.scout_caches, |c| c.label().to_string()),
+            ),
+            ("faults", labels(&self.faults, |f| f.label().to_string())),
+            (
+                "tenants",
+                labels(&self.tenant_sets, |t| t.label().to_string()),
+            ),
+            (
+                "resilience",
+                labels(&self.resiliences, |r| r.label().to_string()),
+            ),
+            ("redundancy", labels(&self.redundancies, |r| r.label())),
+            (
+                "fabrics",
+                self.effective_fabrics()
+                    .iter()
+                    .map(|f| f.label().to_string())
+                    .collect(),
+            ),
+        ];
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Inline)
+            .field("name", &self.name)
+            .field("requests", self.requests);
+        for (key, values) in &axes {
+            w.key(key).array(Layout::Inline);
+            for v in values {
+                w.value(v);
+            }
+            w.end();
+        }
+        w.end();
+        out
     }
+}
+
+/// The axis values, or `default()` when the axis was left empty.
+fn or_default<T: Clone>(axis: &[T], default: impl FnOnce() -> Vec<T>) -> Vec<T> {
+    if axis.is_empty() {
+        default()
+    } else {
+        axis.to_vec()
+    }
+}
+
+/// The axis values, or the base config's single value when the axis was
+/// left empty.
+fn or_base<T: Clone>(axis: &[T], base: T) -> Vec<T> {
+    or_default(axis, || vec![base])
 }
 
 /// One expanded grid point: a fully resolved configuration plus the axis
@@ -884,30 +832,21 @@ impl SweepOutcome {
 
     /// FNV-1a hash of the grid definition JSON: identifies *what* was swept.
     pub fn grid_hash(&self) -> String {
-        format!("{:016x}", fnv1a(self.grid_json.as_bytes(), FNV_OFFSET))
-    }
-
-    /// FNV-1a hash chained over every point's metrics JSON in id order,
-    /// from `seed`: identifies *what came out*.
-    fn chain_points(&self, seed: u64) -> u64 {
-        self.point_jsons
-            .iter()
-            .fold(seed, |h, json| fnv1a(json.as_bytes(), h))
+        Fingerprints::of(&self.grid_json, &self.point_jsons).grid_hash
     }
 
     /// FNV-1a hash chained over every point's metrics JSON in id order:
     /// identifies *what came out*. Bit-identical across pool sizes and
     /// execution orders; wall-clock time and environment are excluded.
     pub fn metrics_fingerprint(&self) -> String {
-        format!("{:016x}", self.chain_points(FNV_OFFSET))
+        Fingerprints::of(&self.grid_json, &self.point_jsons).metrics
     }
 
     /// Grid hash and metrics fingerprint folded together (the point chain
     /// seeded with the grid-definition hash): the manifest's single
     /// comparison handle for "same sweep, same results".
     pub fn manifest_fingerprint(&self) -> String {
-        let seed = fnv1a(self.grid_json.as_bytes(), FNV_OFFSET);
-        format!("{:016x}", self.chain_points(seed))
+        Fingerprints::of(&self.grid_json, &self.point_jsons).manifest
     }
 
     /// Total simulator events across all points.
@@ -1057,11 +996,6 @@ impl ResumedSweep {
         self.reused.iter().filter(|&&r| r).count()
     }
 
-    /// Whether point `id`'s record was reused.
-    pub fn point_reused(&self, id: usize) -> bool {
-        self.reused[id]
-    }
-
     /// The points executed this run, with their metrics, in id order.
     pub fn executed(&self) -> &[(usize, RunMetrics)] {
         &self.executed
@@ -1075,18 +1009,14 @@ impl ResumedSweep {
     /// FNV-1a hash of the grid definition JSON (same as
     /// [`SweepOutcome::grid_hash`] for the same grid).
     pub fn grid_hash(&self) -> String {
-        format!("{:016x}", fnv1a(self.grid_json.as_bytes(), FNV_OFFSET))
+        Fingerprints::of(&self.grid_json, &self.point_jsons).grid_hash
     }
 
     /// FNV-1a hash chained over every point record in id order. A resumed
     /// run of a deterministic grid produces the same fingerprint as the
     /// uninterrupted run it is completing.
     pub fn metrics_fingerprint(&self) -> String {
-        let h = self
-            .point_jsons
-            .iter()
-            .fold(FNV_OFFSET, |h, j| fnv1a(j.as_bytes(), h));
-        format!("{h:016x}")
+        Fingerprints::of(&self.grid_json, &self.point_jsons).metrics
     }
 
     /// Total simulator events across all points (parsed back out of the
@@ -1094,7 +1024,7 @@ impl ResumedSweep {
     pub fn events(&self) -> u64 {
         self.point_jsons
             .iter()
-            .map(|j| json_u64_field(j, "events"))
+            .filter_map(|j| Value::parse(j).ok()?.get("events")?.as_u64())
             .sum()
     }
 
@@ -1180,27 +1110,13 @@ fn run_point_guarded(point: &SweepPoint, trace: &Trace) -> RunMetrics {
     })
 }
 
-/// The `"status"` of a point record (`"complete"` when the field is absent
-/// — records written before run status existed).
-fn json_status(json: &str) -> &'static str {
-    if json.contains("\"status\": \"failed\"") {
-        "failed"
-    } else if json.contains("\"status\": \"aborted\"") {
-        "aborted"
-    } else {
-        "complete"
-    }
-}
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a 64-bit round over `bytes`, continuing from `seed` so hashes
-/// can be chained across records.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    bytes.iter().fold(seed, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
+/// The `"status"` of a parsed point record (`"complete"` when the field is
+/// absent — records written before run status existed).
+fn record_status(record: &Value) -> &str {
+    record
+        .get("status")
+        .and_then(Value::as_str)
+        .unwrap_or("complete")
 }
 
 /// Writes `bytes` to `path` atomically: a temp file in the same directory
@@ -1212,24 +1128,32 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Extracts the unsigned integer value of a `"key": <digits>` field from
-/// one of the engine's stable-JSON documents (zero when absent — the
-/// engine's own records always carry the fields this module asks for).
-fn json_u64_field(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    json.find(&needle)
-        .map(|at| {
-            json[at + needle.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .fold(0u64, |n, c| n * 10 + u64::from(c as u8 - b'0'))
-        })
-        .unwrap_or(0)
+/// A sweep's three FNV-1a fingerprints, as 16-digit hex.
+struct Fingerprints {
+    /// Hash of the grid definition JSON: *what* was swept.
+    grid_hash: String,
+    /// Hash chained over every point record in id order: *what came out*.
+    metrics: String,
+    /// The point chain seeded with the grid hash: both at once.
+    manifest: String,
+}
+
+impl Fingerprints {
+    fn of(grid_json: &str, point_jsons: &[String]) -> Self {
+        let grid = fnv1a(grid_json.as_bytes(), FNV_OFFSET);
+        let chain = |seed| point_jsons.iter().fold(seed, |h, j| fnv1a(j.as_bytes(), h));
+        let hex = |h: u64| format!("{h:016x}");
+        Fingerprints {
+            grid_hash: hex(grid),
+            metrics: hex(chain(FNV_OFFSET)),
+            manifest: hex(chain(grid)),
+        }
+    }
 }
 
 /// The manifest document shared by [`SweepOutcome`] and [`ResumedSweep`]:
-/// headline per-point numbers are read back out of the stable point JSON,
-/// so a reused record and a fresh one index identically.
+/// headline per-point numbers are read back out of the parsed point
+/// records, so a reused record and a fresh one index identically.
 fn manifest_json_for(
     name: &str,
     grid_json: &str,
@@ -1239,87 +1163,43 @@ fn manifest_json_for(
     points: &[SweepPoint],
     point_jsons: &[String],
 ) -> String {
-    let mut index = String::from("[\n");
-    for (i, (p, json)) in points.iter().zip(point_jsons).enumerate() {
-        index.push_str(&format!(
-            "    {{\"id\": {}, \"label\": {}, \"file\": {}, \"status\": {}, \
-             \"execution_time_ns\": {}, \"events\": {}}}{}\n",
-            p.id,
-            json_str(&p.label),
-            json_str(&p.file_name()),
-            json_str(json_status(json)),
-            json_u64_field(json, "execution_time_ns"),
-            json_u64_field(json, "events"),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
+    let fp = Fingerprints::of(grid_json, point_jsons);
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.object(Layout::Block)
+        .field("name", name)
+        .field("engine", "venice_bench::sweep")
+        .field("git", git_describe())
+        .field("requests", requests)
+        .field("points_total", points.len())
+        .field("pool_threads", pool_threads)
+        .field("wall_seconds", wall_seconds);
+    w.key("env").object(Layout::Inline);
+    for knob in ["VENICE_REQUESTS", "VENICE_PAR", "VENICE_RESULTS_DIR"] {
+        w.field(knob, std::env::var(knob).ok());
     }
-    index.push_str("  ]");
-    let grid_hash = format!("{:016x}", fnv1a(grid_json.as_bytes(), FNV_OFFSET));
-    let metrics_fp = format!(
-        "{:016x}",
-        point_jsons
-            .iter()
-            .fold(FNV_OFFSET, |h, j| fnv1a(j.as_bytes(), h))
-    );
-    let manifest_fp = format!(
-        "{:016x}",
-        point_jsons.iter().fold(
-            fnv1a(grid_json.as_bytes(), FNV_OFFSET),
-            |h, j| fnv1a(j.as_bytes(), h)
-        )
-    );
-    format!(
-        "{{\n  \"name\": {},\n  \"engine\": \"venice_bench::sweep\",\n  \
-         \"git\": {},\n  \"requests\": {},\n  \"points_total\": {},\n  \
-         \"pool_threads\": {},\n  \"wall_seconds\": {},\n  \
-         \"env\": {{\"VENICE_REQUESTS\": {}, \"VENICE_PAR\": {}, \
-         \"VENICE_RESULTS_DIR\": {}}},\n  \"grid\": {},\n  \
-         \"grid_hash\": {},\n  \"metrics_fingerprint\": {},\n  \
-         \"manifest_fingerprint\": {},\n  \"points\": {}\n}}\n",
-        json_str(name),
-        json_str(&git_describe()),
-        requests,
-        points.len(),
-        pool_threads,
-        wall_seconds,
-        json_env("VENICE_REQUESTS"),
-        json_env("VENICE_PAR"),
-        json_env("VENICE_RESULTS_DIR"),
-        grid_json,
-        json_str(&grid_hash),
-        json_str(&metrics_fp),
-        json_str(&manifest_fp),
-        index,
-    )
-}
-
-/// JSON array of string literals.
-fn json_str_list(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", body.join(", "))
-}
-
-/// The raw value of env var `name` as a JSON value (`null` when unset).
-fn json_env(name: &str) -> String {
-    match std::env::var(name) {
-        Ok(v) => json_str(&v),
-        Err(_) => "null".to_string(),
+    w.end()
+        .key("grid")
+        .raw(grid_json)
+        .field("grid_hash", fp.grid_hash)
+        .field("metrics_fingerprint", fp.metrics)
+        .field("manifest_fingerprint", fp.manifest);
+    w.key("points").array(Layout::Block);
+    for (p, json) in points.iter().zip(point_jsons) {
+        let record = Value::parse(json).unwrap_or(Value::Null);
+        let count = |key| record.get(key).and_then(Value::as_u64).unwrap_or(0);
+        w.object(Layout::Inline)
+            .field("id", p.id)
+            .field("label", &p.label)
+            .field("file", p.file_name())
+            .field("status", record_status(&record))
+            .field("execution_time_ns", count("execution_time_ns"))
+            .field("events", count("events"))
+            .end();
     }
-}
-
-/// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// outside a git checkout (recorded in manifests for provenance; never part
-/// of the fingerprints).
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    w.end().end();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]

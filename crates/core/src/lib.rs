@@ -16,7 +16,9 @@
 //!   systems (Baseline, pSSD, pnSSD, NoSSD, Venice, Ideal),
 //! * [`RunMetrics`] — execution time, IOPS, tail latency, conflict rate,
 //!   power/energy: every metric the paper's evaluation reports,
-//! * [`report`] — markdown/CSV table helpers for the figure harnesses.
+//! * [`report`] — markdown/CSV table helpers for the figure harnesses,
+//! * [`json`] — the std-only JSON writer and parser every artifact goes
+//!   through.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ mod config;
 mod dispatch;
 mod experiment;
 mod fault;
+pub mod json;
 mod metrics;
 mod redundancy;
 pub mod report;

@@ -9,7 +9,7 @@ use venice_sim::{SimDuration, SimTime};
 use venice_hil::DeadlineClass;
 
 use crate::dispatch::DispatchStats;
-use crate::report::{json_f64, json_str};
+use crate::json::{Layout, Writer};
 use crate::{DispatchPolicyKind, RedundancyKind, ResiliencePolicy};
 
 /// How a run ended (part of [`RunMetrics`] and the sweep manifest's
@@ -354,8 +354,8 @@ impl RunMetrics {
     /// Serializes the run as one stable JSON object (the sweep engine's
     /// per-point record format).
     ///
-    /// The workspace builds without registry access, so JSON is emitted by
-    /// hand: field order is fixed, integers print exactly, and floats use
+    /// The top level has one member per line and every nested section is
+    /// inline. Field order is fixed, integers print exactly, and floats use
     /// Rust's shortest round-trip `Display` — the same metrics always
     /// produce the same bytes, which is what lets sweep manifests carry a
     /// content fingerprint. Raw latency samples are summarized (count,
@@ -365,162 +365,139 @@ impl RunMetrics {
         // Zero-sample runs serialize as zero latencies (percentile() would
         // panic on an empty sample set, and RunMetrics with no completions
         // is a valid value everywhere else).
-        let q = |l: &mut LatencySamples, q: f64| {
-            if l.is_empty() {
+        let mut q = |q: f64| {
+            if lat.is_empty() {
                 0
             } else {
-                l.percentile(q).as_nanos()
+                lat.percentile(q).as_nanos()
             }
         };
-        let (p50, p95, p99, max) = (
-            q(&mut lat, 0.50),
-            q(&mut lat, 0.95),
-            q(&mut lat, 0.99),
-            q(&mut lat, 1.0),
-        );
+        let (p50, p95, p99, max) = (q(0.50), q(0.95), q(0.99), q(1.0));
         let fb = &self.fabric;
         let ftl = &self.ftl;
         let hil = &self.hil;
         let dsp = &self.dispatch;
-        // Per-tenant QoS records: variable-length, so pre-rendered with the
-        // same fixed field order and hand-formatting as the outer object.
-        let mut tenants_json = String::new();
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                tenants_json.push_str(", ");
-            }
-            tenants_json.push_str(&format!(
-                "{{\"name\": {}, \"weight\": {}, \"qd_cap\": {}, \
-                 \"deadline_class\": {}, \
-                 \"completed\": {}, \"conflicted\": {}, \"backpressured\": {}, \
-                 \"failed\": {}, \"data_loss\": {}, \"deadline_misses\": {}, \
-                 \"host_retries\": {}, \
-                 \"shed\": {}, \"deadline_met\": {}, \
-                 \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-                json_str(t.name),
-                t.weight,
-                t.qd_cap,
-                json_str(t.deadline_class.label()),
-                t.completed,
-                t.conflicted,
-                t.backpressured,
-                t.failed,
-                t.data_loss,
-                t.deadline_misses,
-                t.host_retries,
-                t.shed,
-                t.deadline_met,
-                t.latencies.mean().as_nanos(),
-                t.p50().as_nanos(),
-                t.p99().as_nanos(),
-            ));
+        let mut out = String::with_capacity(2048);
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Block)
+            .field("system", self.system.label())
+            .field("workload", &self.workload)
+            .field("config", self.config)
+            .field("policy", self.policy.label())
+            .field("scout_cache", self.scout_cache.label())
+            .field("completed_requests", self.completed_requests)
+            .field("execution_time_ns", self.execution_time.as_nanos())
+            .field("iops", self.iops());
+        w.key("latency")
+            .object(Layout::Inline)
+            .field("samples", self.latencies.len())
+            .field("mean_ns", self.mean_latency().as_nanos())
+            .field("p50_ns", p50)
+            .field("p95_ns", p95)
+            .field("p99_ns", p99)
+            .field("max_ns", max)
+            .end();
+        w.field("conflicted_requests", self.conflicted_requests)
+            .field("conflict_pct", self.conflict_pct())
+            .field("energy_mj", self.energy_mj)
+            .field("avg_power_mw", self.avg_power_mw);
+        w.key("fabric")
+            .object(Layout::Inline)
+            .field("acquisitions", fb.acquisitions)
+            .field("conflicts", fb.conflicts)
+            .field("controller_unavailable", fb.controller_unavailable)
+            .field("channel_busy", fb.channel_busy)
+            .field("transfers", fb.transfers)
+            .field("bytes", fb.bytes)
+            .field("transfer_energy_nj", fb.transfer_energy_nj)
+            .field("scout_steps", fb.scout_steps)
+            .field("scout_detours", fb.scout_detours)
+            .field("scout_misroutes", fb.scout_misroutes)
+            .field("scout_failed_steps", fb.scout_failed_steps)
+            .field("scout_fastfails", fb.scout_fastfails)
+            .field("scout_cache_invalidations", fb.scout_cache_invalidations)
+            .field("hops_total", fb.hops_total)
+            .end();
+        w.key("ftl")
+            .object(Layout::Inline)
+            .field("user_writes", ftl.user_writes)
+            .field("user_reads", ftl.user_reads)
+            .field("gc_relocations", ftl.gc_relocations)
+            .field("gc_erases", ftl.gc_erases)
+            .field("wear_relocations", ftl.wear_relocations)
+            .field("wear_erases", ftl.wear_erases)
+            .field("stale_relocations", ftl.stale_relocations)
+            .field("write_amplification", ftl.write_amplification())
+            .end();
+        w.key("hil")
+            .object(Layout::Inline)
+            .field("submitted", hil.submitted)
+            .field("backpressured", hil.backpressured)
+            .field("fetched", hil.fetched)
+            .field("completed", hil.completed)
+            .end();
+        w.key("tenants").array(Layout::Inline);
+        for t in &self.tenants {
+            w.object(Layout::Inline)
+                .field("name", t.name)
+                .field("weight", t.weight)
+                .field("qd_cap", t.qd_cap)
+                .field("deadline_class", t.deadline_class.label())
+                .field("completed", t.completed)
+                .field("conflicted", t.conflicted)
+                .field("backpressured", t.backpressured)
+                .field("failed", t.failed)
+                .field("data_loss", t.data_loss)
+                .field("deadline_misses", t.deadline_misses)
+                .field("host_retries", t.host_retries)
+                .field("shed", t.shed)
+                .field("deadline_met", t.deadline_met)
+                .field("mean_ns", t.latencies.mean().as_nanos())
+                .field("p50_ns", t.p50().as_nanos())
+                .field("p99_ns", t.p99().as_nanos())
+                .end();
         }
-        format!(
-            "{{\n  \"system\": {},\n  \"workload\": {},\n  \"config\": {},\n  \
-             \"policy\": {},\n  \"scout_cache\": {},\n  \
-             \"completed_requests\": {},\n  \"execution_time_ns\": {},\n  \
-             \"iops\": {},\n  \"latency\": {{\"samples\": {}, \"mean_ns\": {}, \
-             \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}},\n  \
-             \"conflicted_requests\": {},\n  \"conflict_pct\": {},\n  \
-             \"energy_mj\": {},\n  \"avg_power_mw\": {},\n  \
-             \"fabric\": {{\"acquisitions\": {}, \"conflicts\": {}, \
-             \"controller_unavailable\": {}, \"channel_busy\": {}, \
-             \"transfers\": {}, \"bytes\": {}, \"transfer_energy_nj\": {}, \
-             \"scout_steps\": {}, \"scout_detours\": {}, \"scout_misroutes\": {}, \
-             \"scout_failed_steps\": {}, \"scout_fastfails\": {}, \
-             \"scout_cache_invalidations\": {}, \"hops_total\": {}}},\n  \
-             \"ftl\": {{\"user_writes\": {}, \"user_reads\": {}, \
-             \"gc_relocations\": {}, \"gc_erases\": {}, \"wear_relocations\": {}, \
-             \"wear_erases\": {}, \"stale_relocations\": {}, \
-             \"write_amplification\": {}}},\n  \
-             \"hil\": {{\"submitted\": {}, \"backpressured\": {}, \
-             \"fetched\": {}, \"completed\": {}}},\n  \
-             \"tenants\": [{}],\n  \"fairness_index\": {},\n  \
-             \"dispatch\": {{\"rounds\": {}, \"attempts\": {}, \
-             \"skipped_backoff\": {}, \"failed_walks\": {}}},\n  \
-             \"status\": {},\n  \
-             \"faults\": {{\"injected\": {}, \"active\": {}, \"retried_ops\": {}, \
-             \"failed_requests\": {}, \"availability\": {}}},\n  \
-             \"resilience\": {{\"policy\": {}, \"deadline_met\": {}, \
-             \"deadline_misses\": {}, \"host_retries\": {}, \
-             \"shed_requests\": {}, \"goodput\": {}}},\n  \
-             \"redundancy\": {{\"kind\": {}, \"degraded_reads\": {}, \
-             \"rebuilt_pages\": {}, \"rebuild_skipped_pages\": {}, \
-             \"rebuild_done_ns\": {}, \
-             \"data_loss_requests\": {}}},\n  \
-             \"transactions\": {},\n  \"events\": {},\n  \"end_time_ns\": {}\n}}\n",
-            json_str(self.system.label()),
-            json_str(&self.workload),
-            json_str(self.config),
-            json_str(self.policy.label()),
-            json_str(self.scout_cache.label()),
-            self.completed_requests,
-            self.execution_time.as_nanos(),
-            json_f64(self.iops()),
-            lat.len(),
-            self.mean_latency().as_nanos(),
-            p50,
-            p95,
-            p99,
-            max,
-            self.conflicted_requests,
-            json_f64(self.conflict_pct()),
-            json_f64(self.energy_mj),
-            json_f64(self.avg_power_mw),
-            fb.acquisitions,
-            fb.conflicts,
-            fb.controller_unavailable,
-            fb.channel_busy,
-            fb.transfers,
-            fb.bytes,
-            json_f64(fb.transfer_energy_nj),
-            fb.scout_steps,
-            fb.scout_detours,
-            fb.scout_misroutes,
-            fb.scout_failed_steps,
-            fb.scout_fastfails,
-            fb.scout_cache_invalidations,
-            fb.hops_total,
-            ftl.user_writes,
-            ftl.user_reads,
-            ftl.gc_relocations,
-            ftl.gc_erases,
-            ftl.wear_relocations,
-            ftl.wear_erases,
-            ftl.stale_relocations,
-            json_f64(ftl.write_amplification()),
-            hil.submitted,
-            hil.backpressured,
-            hil.fetched,
-            hil.completed,
-            tenants_json,
-            json_f64(self.fairness_index()),
-            dsp.rounds,
-            dsp.attempts,
-            dsp.skipped_backoff,
-            dsp.failed_walks,
-            json_str(self.status.label()),
-            self.faults_injected,
-            self.faults_active,
-            self.retried_ops,
-            self.failed_requests,
-            json_f64(self.availability()),
-            json_str(self.resilience.label()),
-            self.deadline_met_requests,
-            self.deadline_misses,
-            self.host_retries,
-            self.shed_requests,
-            json_f64(self.goodput()),
-            json_str(&self.redundancy.label()),
-            self.degraded_reads,
-            self.rebuilt_pages,
-            self.rebuild_skipped_pages,
-            self.rebuild_done_ns,
-            self.data_loss_requests,
-            self.transactions,
-            self.events,
-            self.end_time.as_nanos(),
-        )
+        w.end().field("fairness_index", self.fairness_index());
+        w.key("dispatch")
+            .object(Layout::Inline)
+            .field("rounds", dsp.rounds)
+            .field("attempts", dsp.attempts)
+            .field("skipped_backoff", dsp.skipped_backoff)
+            .field("failed_walks", dsp.failed_walks)
+            .end();
+        w.field("status", self.status.label());
+        w.key("faults")
+            .object(Layout::Inline)
+            .field("injected", self.faults_injected)
+            .field("active", self.faults_active)
+            .field("retried_ops", self.retried_ops)
+            .field("failed_requests", self.failed_requests)
+            .field("availability", self.availability())
+            .end();
+        w.key("resilience")
+            .object(Layout::Inline)
+            .field("policy", self.resilience.label())
+            .field("deadline_met", self.deadline_met_requests)
+            .field("deadline_misses", self.deadline_misses)
+            .field("host_retries", self.host_retries)
+            .field("shed_requests", self.shed_requests)
+            .field("goodput", self.goodput())
+            .end();
+        w.key("redundancy")
+            .object(Layout::Inline)
+            .field("kind", self.redundancy.label())
+            .field("degraded_reads", self.degraded_reads)
+            .field("rebuilt_pages", self.rebuilt_pages)
+            .field("rebuild_skipped_pages", self.rebuild_skipped_pages)
+            .field("rebuild_done_ns", self.rebuild_done_ns)
+            .field("data_loss_requests", self.data_loss_requests)
+            .end();
+        w.field("transactions", self.transactions)
+            .field("events", self.events)
+            .field("end_time_ns", self.end_time.as_nanos())
+            .end();
+        out.push('\n');
+        out
     }
 }
 

@@ -101,23 +101,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// JSON string literal with minimal escaping (quotes and backslashes; the
-/// harness only emits identifier-like names). Shared by the metrics
-/// serializer and the sweep-manifest writer so the two can never diverge.
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// JSON number from a float: shortest round-trip `Display`, `null` for
-/// non-finite values (JSON has no NaN/Inf).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
