@@ -765,6 +765,7 @@ mod tests {
             "é".as_bytes(),
         ];
         let mut rng = Xorshift64Star::new(0x5EED);
+        let mut rejected = 0;
         for _ in 0..2_000 {
             let mut bytes = record.clone().into_bytes();
             for _ in 0..=rng.next_bounded(3) {
@@ -781,7 +782,10 @@ mod tests {
             let text = String::from_utf8_lossy(&bytes);
             if let Err(e) = Value::parse(&text) {
                 assert!(e.offset <= text.len(), "{e} beyond {} bytes", text.len());
+                rejected += 1;
             }
         }
+        // Most mutations break the grammar; some (a flipped digit) do not.
+        assert!((1_000..2_000).contains(&rejected), "{rejected} rejected");
     }
 }
