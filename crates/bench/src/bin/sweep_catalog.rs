@@ -53,7 +53,7 @@
 use std::path::Path;
 
 use venice_bench::sweep::{ResumedSweep, SweepGrid, SweepPoint, WorkerPool};
-use venice_bench::{real_systems, report_resumed};
+use venice_bench::report_resumed;
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
 use venice_ssd::json::{Layout, Value, Writer};
@@ -132,7 +132,13 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
             .fault_plans(&FaultPlan::ALL)
-            .fabrics(&real_systems())
+            .fabrics(&[
+                FabricKind::Baseline,
+                FabricKind::Pssd,
+                FabricKind::PnSsd,
+                FabricKind::NoSsd,
+                FabricKind::Venice,
+            ])
             .requests(requests.unwrap_or(400)),
         "tenants" => SweepGrid::new("tenants")
             .workload(WorkloadAxis::victim_solo())
@@ -153,14 +159,26 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .fault_plans(&[FaultPlan::None, FaultPlan::Link, FaultPlan::Storm])
             .tenant_sets(&[TenantSet::single(), TenantSet::deadline_split()])
             .resilience_policies(&ResiliencePolicy::ALL)
-            .fabrics(&real_systems())
+            .fabrics(&[
+                FabricKind::Baseline,
+                FabricKind::Pssd,
+                FabricKind::PnSsd,
+                FabricKind::NoSsd,
+                FabricKind::Venice,
+            ])
             .requests(requests.unwrap_or(800)),
         "rebuild" => SweepGrid::new("rebuild")
             .workload(WorkloadAxis::congested())
             .fault_plans(&[FaultPlan::Chip, FaultPlan::ChipAndLink])
             .resilience_policies(&[ResiliencePolicy::DeadlineRetry])
             .redundancy_kinds(&RedundancyKind::ALL)
-            .fabrics(&real_systems())
+            .fabrics(&[
+                FabricKind::Baseline,
+                FabricKind::Pssd,
+                FabricKind::PnSsd,
+                FabricKind::NoSsd,
+                FabricKind::Venice,
+            ])
             .requests(requests.unwrap_or(800)),
         "scoutcache" => SweepGrid::new("scoutcache")
             .workload(WorkloadAxis::congested())

@@ -11,9 +11,8 @@
 //! manifest path. Points are matched **by label**, and a pair is identical
 //! when its two parsed point records are equal in every field. For each
 //! differing pair the tool reports deltas in the headline metrics
-//! (execution time, events, conflicted requests, energy) and names the
-//! top-level fields that differ; it also prints the manifests' grid and
-//! metrics fingerprints. Use it to diff the same grid before and after an
+//! (execution time, events, conflicted requests, energy); it also prints
+//! the manifests' grid and metrics fingerprints. Use it to diff the same grid before and after an
 //! engine change, or — with `--ignore-scout-cache`, which folds the
 //! label's scout-cache segment so a `--scout-cache on` run lines up with a
 //! `--scout-cache off` run — a cache-on vs cache-off big-mesh sweep, where
@@ -154,22 +153,6 @@ fn masked_fingerprint(m: &Manifest) -> String {
     format!("{h:016x}")
 }
 
-/// The top-level fields whose values differ between two records (present
-/// in one only, or unequal).
-fn differing_fields<'a>(a: &'a Value, b: &'a Value) -> Vec<&'a str> {
-    let (ma, mb) = (
-        a.as_object().unwrap_or_default(),
-        b.as_object().unwrap_or_default(),
-    );
-    let mut keys: Vec<&str> = Vec::new();
-    for (k, _) in ma.iter().chain(mb) {
-        if a.get(k) != b.get(k) && !keys.contains(&k.as_str()) {
-            keys.push(k);
-        }
-    }
-    keys
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut take_flag = |name: &str| -> bool {
@@ -281,11 +264,8 @@ fn main() {
                 conflicted(&rb) as i64 - conflicted(&ra) as i64,
                 if energy_same { "same" } else { "DIFFERS" },
             );
-            match (&ra, &rb) {
-                (Some(ra), Some(rb)) => {
-                    println!("    fields differ: {}", differing_fields(ra, rb).join(", "))
-                }
-                _ => println!("    point record unreadable in A or B"),
+            if ra.is_none() || rb.is_none() {
+                println!("    point record unreadable in A or B");
             }
         }
     }
@@ -336,6 +316,5 @@ mod tests {
         );
         let other = on.replace("\"scout_steps\": 9", "\"scout_steps\": 8");
         assert_ne!(parse(on), parse(&other));
-        assert_eq!(differing_fields(&parse(on), &parse(&other)), ["fabric"]);
     }
 }

@@ -339,17 +339,29 @@ impl SweepGrid {
 
     /// Resolved workload axis (Table 2 catalog when none was set).
     fn effective_workloads(&self) -> Vec<WorkloadAxis> {
-        or_default(&self.workloads, WorkloadAxis::table2)
+        if self.workloads.is_empty() {
+            WorkloadAxis::table2()
+        } else {
+            self.workloads.clone()
+        }
     }
 
     /// Resolved config axis (performance-optimized when none was set).
     fn effective_configs(&self) -> Vec<SsdConfig> {
-        or_default(&self.configs, || vec![SsdConfig::performance_optimized()])
+        if self.configs.is_empty() {
+            vec![SsdConfig::performance_optimized()]
+        } else {
+            self.configs.clone()
+        }
     }
 
     /// Resolved fabric axis (all six systems when none was set).
     fn effective_fabrics(&self) -> Vec<FabricKind> {
-        or_default(&self.fabrics, || FabricKind::ALL.to_vec())
+        if self.fabrics.is_empty() {
+            FabricKind::ALL.to_vec()
+        } else {
+            self.fabrics.clone()
+        }
     }
 
     /// Expands the grid into its deterministic, id-stamped point list.
@@ -365,15 +377,51 @@ impl SweepGrid {
         let fabrics = self.effective_fabrics();
         let mut points = Vec::new();
         for base in &configs {
-            let shapes = or_base(&self.shapes, (base.fabric.rows, base.fabric.cols));
-            let timings = or_base(&self.timings, base.timing);
-            let depths = or_base(&self.queue_depths, base.hil.queue_depth);
-            let policies = or_base(&self.policies, base.dispatch);
-            let caches = or_base(&self.scout_caches, base.scout_cache());
-            let faults = or_base(&self.faults, base.fault_plan);
-            let tenant_sets = or_base(&self.tenant_sets, base.tenants.clone());
-            let resiliences = or_base(&self.resiliences, base.resilience);
-            let redundancies = or_base(&self.redundancies, base.redundancy);
+            let shapes: Vec<(u16, u16)> = if self.shapes.is_empty() {
+                vec![(base.fabric.rows, base.fabric.cols)]
+            } else {
+                self.shapes.clone()
+            };
+            let timings: Vec<NandTiming> = if self.timings.is_empty() {
+                vec![base.timing]
+            } else {
+                self.timings.clone()
+            };
+            let depths: Vec<usize> = if self.queue_depths.is_empty() {
+                vec![base.hil.queue_depth]
+            } else {
+                self.queue_depths.clone()
+            };
+            let policies: Vec<DispatchPolicyKind> = if self.policies.is_empty() {
+                vec![base.dispatch]
+            } else {
+                self.policies.clone()
+            };
+            let caches: Vec<ScoutCacheKind> = if self.scout_caches.is_empty() {
+                vec![base.scout_cache()]
+            } else {
+                self.scout_caches.clone()
+            };
+            let faults: Vec<FaultPlan> = if self.faults.is_empty() {
+                vec![base.fault_plan]
+            } else {
+                self.faults.clone()
+            };
+            let tenant_sets: Vec<TenantSet> = if self.tenant_sets.is_empty() {
+                vec![base.tenants.clone()]
+            } else {
+                self.tenant_sets.clone()
+            };
+            let resiliences: Vec<ResiliencePolicy> = if self.resiliences.is_empty() {
+                vec![base.resilience]
+            } else {
+                self.resiliences.clone()
+            };
+            let redundancies: Vec<RedundancyKind> = if self.redundancies.is_empty() {
+                vec![base.redundancy]
+            } else {
+                self.redundancies.clone()
+            };
             for (workload_idx, workload) in workloads.iter().enumerate() {
                 for &(rows, cols) in &shapes {
                     for &timing in &timings {
@@ -638,10 +686,11 @@ impl SweepGrid {
     pub fn definition_json(&self) -> String {
         /// An empty axis keeps the base config's value, recorded as `base`.
         fn labels<T>(axis: &[T], label: impl Fn(&T) -> String) -> Vec<String> {
-            or_base(
-                &axis.iter().map(label).collect::<Vec<_>>(),
-                "base".to_string(),
-            )
+            if axis.is_empty() {
+                vec!["base".to_string()]
+            } else {
+                axis.iter().map(label).collect()
+            }
         }
         let axes: [(&str, Vec<String>); 12] = [
             (
@@ -710,21 +759,6 @@ impl SweepGrid {
         w.end();
         out
     }
-}
-
-/// The axis values, or `default()` when the axis was left empty.
-fn or_default<T: Clone>(axis: &[T], default: impl FnOnce() -> Vec<T>) -> Vec<T> {
-    if axis.is_empty() {
-        default()
-    } else {
-        axis.to_vec()
-    }
-}
-
-/// The axis values, or the base config's single value when the axis was
-/// left empty.
-fn or_base<T: Clone>(axis: &[T], base: T) -> Vec<T> {
-    or_default(axis, || vec![base])
 }
 
 /// One expanded grid point: a fully resolved configuration plus the axis
@@ -994,6 +1028,11 @@ impl ResumedSweep {
     /// How many point records were reused from the prior artifact.
     pub fn reused_count(&self) -> usize {
         self.reused.iter().filter(|&&r| r).count()
+    }
+
+    /// Whether point `id`'s record was reused.
+    pub fn point_reused(&self, id: usize) -> bool {
+        self.reused[id]
     }
 
     /// The points executed this run, with their metrics, in id order.

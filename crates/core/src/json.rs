@@ -1,39 +1,13 @@
 //! Std-only JSON: a streaming [`Writer`] that appends to a `String`, and a
-//! parser to an order-preserving [`Value`].
+//! parser to an order-preserving [`Value`] that returns a [`JsonError`]
+//! (never a panic) on malformed input.
 //!
-//! Every JSON document the workspace reads or writes goes through this
-//! module: point records, sweep manifests and `grid.json` stamps, the
-//! ablation files, bench summaries, and the perf ledgers.
-//!
-//! * **Layout is chosen per container.** [`Layout::Inline`] puts members on
-//!   one line (`{"a": 1, "b": 2}`); [`Layout::Block`] puts one member per
-//!   line, indented two spaces per open container. There is no global
-//!   setting: point records and `grid.json` are hashed into the sweep
-//!   fingerprints, so their bytes are fixed by their call sites.
-//! * **Numbers are exact.** Integers parse to [`Value::U64`] / [`Value::I64`]
-//!   and are written digit-for-digit; floats are written with Rust's
-//!   shortest round-trip `Display` (`null` when not finite), so a float
-//!   with an integral value reads back as an integer — read numbers that
-//!   may be either with [`Value::as_f64`].
-//! * **Strings are escaped per RFC 8259**, control characters included.
-//! * **Malformed input is a [`JsonError`]** carrying the byte offset where
-//!   parsing stopped, never a panic.
-//!
-//! ```
-//! use venice_ssd::json::{Layout, Value, Writer};
-//!
-//! let mut out = String::new();
-//! let mut w = Writer::new(&mut out);
-//! w.object(Layout::Inline).field("name", "mini").field("requests", 200u64);
-//! w.key("fabrics").array(Layout::Inline).value("Baseline").value("Venice").end();
-//! w.end();
-//! assert_eq!(
-//!     out,
-//!     r#"{"name": "mini", "requests": 200, "fabrics": ["Baseline", "Venice"]}"#
-//! );
-//! let doc = Value::parse(&out).unwrap();
-//! assert_eq!(doc.get("requests").and_then(Value::as_u64), Some(200));
-//! ```
+//! Each call site picks a container's [`Layout`]; there is no global
+//! setting, because point records and `grid.json` are hashed into the
+//! sweep fingerprints and their bytes must not move. Non-negative integers
+//! parse exactly to [`Value::U64`]; floats are written with Rust's shortest
+//! round-trip `Display`, so a float with an integral value reads back as an
+//! integer — read such numbers with [`Value::as_f64`].
 
 use std::fmt::{self, Write as _};
 
@@ -46,16 +20,13 @@ pub enum Layout {
     Block,
 }
 
-/// A streaming JSON writer: appends to a `String` as values arrive, without
-/// building a tree first. Containers opened with [`Writer::object`] or
-/// [`Writer::array`] are closed by [`Writer::end`]; inside an object, each
-/// value follows a [`Writer::key`] (or use [`Writer::field`]).
+/// A streaming JSON writer. [`Writer::object`] and [`Writer::array`] open a
+/// container and [`Writer::end`] closes it; inside an object each value
+/// follows a [`Writer::key`].
 pub struct Writer<'a> {
     out: &'a mut String,
-    /// Open containers: closing bracket, layout, and whether a member has
-    /// been written yet.
+    /// Open containers: closing bracket, layout, whether a member was written.
     open: Vec<(char, Layout, bool)>,
-    /// Set by [`Writer::key`]: the next value follows its key directly.
     after_key: bool,
 }
 
@@ -69,8 +40,8 @@ impl<'a> Writer<'a> {
         }
     }
 
-    /// Writes the separator (and, in a block container, the line break and
-    /// indentation) due before the next member.
+    /// Writes the separator and, in a block container, the line break and
+    /// indentation due before the next member.
     fn separate(&mut self) {
         if std::mem::take(&mut self.after_key) {
             return;
@@ -137,20 +108,20 @@ impl<'a> Writer<'a> {
         self
     }
 
-    /// Writes one value (an array element, or the value after a key).
+    /// Writes an array element, or the value after a key.
     pub fn value<T: ToJson>(&mut self, value: T) -> &mut Self {
         self.separate();
         value.write_json(self.out);
         self
     }
 
-    /// Writes one object member: `key` then `value`.
+    /// Writes one object member.
     pub fn field<T: ToJson>(&mut self, key: &str, value: T) -> &mut Self {
         self.key(key).value(value)
     }
 
-    /// Writes an already-rendered JSON document as one value (e.g. a
-    /// hashed `grid.json` stamp embedded verbatim in a manifest).
+    /// Writes an already-rendered JSON document as one value (the hashed
+    /// `grid.json` stamp embedded verbatim in a manifest).
     pub fn raw(&mut self, json: &str) -> &mut Self {
         self.separate();
         self.out.push_str(json);
@@ -164,8 +135,8 @@ pub trait ToJson {
     fn write_json(&self, out: &mut String);
 }
 
-/// Appends `s` as a JSON string literal, escaping `"`, `\` and every
-/// control character (RFC 8259 §7).
+/// Appends `s` as a string literal, escaping control characters as
+/// RFC 8259 §7 requires.
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -196,7 +167,6 @@ impl ToJson for String {
     }
 }
 
-/// Booleans and integers print as their `Display` form.
 macro_rules! display_to_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
@@ -206,11 +176,10 @@ macro_rules! display_to_json {
         }
     )*};
 }
-display_to_json!(bool, u32, u64, usize, i64);
+display_to_json!(bool, u32, u64, usize);
 
 impl ToJson for f64 {
-    /// Shortest round-trip `Display`; `null` for NaN and infinities, which
-    /// JSON cannot represent.
+    /// `null` for NaN and infinities, which JSON cannot represent.
     fn write_json(&self, out: &mut String) {
         if self.is_finite() {
             let _ = write!(out, "{self}");
@@ -235,19 +204,16 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
-/// A parsed JSON document. Objects keep their members in document order;
-/// integers keep their exact value.
+/// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A non-negative integer literal that fits `u64`.
+    /// An integer literal that fits `u64`.
     U64(u64),
-    /// A negative integer literal that fits `i64`.
-    I64(i64),
-    /// Any other number (fraction, exponent, or out of integer range).
+    /// Any other number.
     F64(f64),
     /// A string.
     Str(String),
@@ -277,7 +243,7 @@ impl Value {
         Ok(value)
     }
 
-    /// The value of member `key` when this is an object (first match).
+    /// Member `key`'s value when this is an object (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object()?
             .iter()
@@ -285,12 +251,12 @@ impl Value {
             .map(|(_, v)| v)
     }
 
-    /// Follows `path` through nested objects (`["faults", "availability"]`).
+    /// Follows `path` through nested objects.
     pub fn at(&self, path: &[&str]) -> Option<&Value> {
         path.iter().try_fold(self, |v, key| v.get(key))
     }
 
-    /// The exact value of a non-negative integer.
+    /// The integer, when this is one.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::U64(n) => Some(n),
@@ -302,7 +268,6 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Value::U64(n) => Some(n as f64),
-            Value::I64(n) => Some(n as f64),
             Value::F64(x) => Some(x),
             _ => None,
         }
@@ -324,7 +289,7 @@ impl Value {
         }
     }
 
-    /// The members in document order, when this is an object.
+    /// The members, when this is an object.
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Object(members) => Some(members),
@@ -334,13 +299,12 @@ impl Value {
 }
 
 impl ToJson for Value {
-    /// Writes the value with every nested container inline.
+    /// Writes every nested container inline.
     fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => b.write_json(out),
             Value::U64(n) => n.write_json(out),
-            Value::I64(n) => n.write_json(out),
             Value::F64(x) => x.write_json(out),
             Value::Str(s) => write_str(out, s),
             Value::Array(items) => {
@@ -366,8 +330,7 @@ impl ToJson for Value {
 /// Why and where a document failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
-    /// Byte offset into the input where parsing stopped (at most the
-    /// input's length).
+    /// Byte offset where parsing stopped (at most the input's length).
     pub offset: usize,
     /// What the parser expected or rejected there.
     pub reason: &'static str,
@@ -381,11 +344,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Containers nested deeper than this are rejected instead of recursing
-/// without bound.
+/// Containers nested deeper than this are rejected rather than recursed
+/// into, so hostile input cannot overflow the stack.
 const MAX_DEPTH: usize = 128;
 
-/// Recursive-descent parser over one document.
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -576,7 +538,6 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    /// Consumes one or more ASCII digits.
     fn digits(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -588,8 +549,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    /// Parses a number per the RFC 8259 grammar: integers stay exact when
-    /// they fit `u64` / `i64`, everything else becomes `f64`.
+    /// Checks the RFC 8259 number grammar, then reads the token.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         self.pos += usize::from(self.peek() == Some(b'-'));
@@ -598,29 +558,20 @@ impl Parser<'_> {
         } else {
             self.digits()?;
         }
-        let mut integral = true;
         if self.peek() == Some(b'.') {
-            integral = false;
             self.pos += 1;
             self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            integral = false;
             self.pos += 1;
             self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
             self.digits()?;
         }
         let token = &self.text[start..self.pos];
-        if integral {
-            if let Ok(n) = token.parse() {
-                return Ok(Value::U64(n));
-            }
-            if let Ok(n) = token.parse() {
-                return Ok(Value::I64(n));
-            }
-        }
-        // The grammar was checked above, so only the value is left to read.
-        Ok(Value::F64(token.parse().expect("validated number token")))
+        Ok(match token.parse() {
+            Ok(n) => Value::U64(n),
+            Err(_) => Value::F64(token.parse().expect("validated number token")),
+        })
     }
 }
 
@@ -687,12 +638,12 @@ mod tests {
     #[test]
     fn integers_stay_exact_and_order_is_kept() {
         let doc = Value::parse(
-            r#"{"big": 18446744073709551615, "neg": -9223372036854775808,
+            r#"{"big": 18446744073709551615, "neg": -3,
             "f": 0.75, "e": 25e-2, "huge": 18446744073709551616, "z": [true, false, null]}"#,
         )
         .unwrap();
         assert_eq!(doc.get("big"), Some(&Value::U64(u64::MAX)));
-        assert_eq!(doc.get("neg"), Some(&Value::I64(i64::MIN)));
+        assert_eq!(doc.get("neg"), Some(&Value::F64(-3.0)));
         assert_eq!(doc.get("f").and_then(Value::as_f64), Some(0.75));
         assert_eq!(doc.get("e"), Some(&Value::F64(0.25)));
         assert_eq!(doc.get("huge"), Some(&Value::F64(18446744073709551616.0)));
