@@ -38,22 +38,22 @@
 //! `results/rebuild_ablation.json` comparing data loss, degraded-read
 //! service, and rebuild MTTR across fabrics).
 //!
-//! Sweeps are *resumable*: when `results/sweep_<grid>/` already holds a
-//! manifest with this grid's exact grid hash, points whose record file
-//! exists are reused instead of re-simulated; `--fresh` forces a full
-//! re-run.
+//! Sweeps are *resumable*: when `results/sweep_<grid>/grid.json` holds
+//! this grid's exact definition, points whose record file holds a whole,
+//! non-failed record are reused instead of re-simulated; `--fresh` forces
+//! a full re-run.
 //!
-//! Flags: `--grid <name>`, `--requests <n>` (default: `VENICE_REQUESTS`,
-//! except `mini`/`policy`/`bigmesh`/`scoutcache` which have their own
-//! defaults), `--par <n>` (dedicated pool size; default: the shared pool),
+//! Flags: `--grid <name>`, `--requests <n>` (default: the grid's own;
+//! `VENICE_REQUESTS` for `table2`/`mixes`/`shapes`/`nand`/`qd`/`design`),
+//! `--par <n>` (dedicated pool size; default: the shared pool),
 //! `--systems a,b,c` (override the fabric axis by label, e.g.
 //! `Baseline,Venice`), `--scout-cache <off|on|checked>` (override the
 //! scout fast-fail-cache axis), `--fresh`, `--list`.
 
 use std::path::Path;
 
-use venice_bench::sweep::{ResumedSweep, SweepGrid, SweepPoint, WorkerPool};
-use venice_bench::report_resumed;
+use venice_bench::report_sweep;
+use venice_bench::sweep::{SweepGrid, SweepOutcome, SweepPoint, WorkerPool};
 use venice_interconnect::FabricKind;
 use venice_nand::NandTiming;
 use venice_ssd::json::{Layout, Value, Writer};
@@ -76,7 +76,8 @@ fn subset_axes() -> Vec<WorkloadAxis> {
 }
 
 /// Builds a named grid; `None` for an unknown name. `requests` of `None`
-/// means "the grid's own default".
+/// means the grid's own default (`VENICE_REQUESTS` unless the grid sets
+/// one).
 fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
     let grid = match name {
         "mini" => SweepGrid::new("mini")
@@ -84,7 +85,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::catalog("proj_3").expect("catalog"))
             .workload(WorkloadAxis::catalog("YCSB_B").expect("catalog"))
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
-            .requests(requests.unwrap_or(200)),
+            .requests(200),
         "table2" => SweepGrid::new("table2")
             .workloads(WorkloadAxis::table2())
             .fabrics(&all_systems()),
@@ -120,14 +121,14 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .workload(WorkloadAxis::catalog("YCSB_B").expect("catalog"))
             .policies(&DispatchPolicyKind::ALL)
             .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
-            .requests(requests.unwrap_or(800)),
+            .requests(800),
         "bigmesh" => SweepGrid::new("bigmesh")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
             .shapes(&[(8, 8), (16, 16), (32, 32)])
             .policies(&[DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto])
             .fabrics(&[FabricKind::Baseline, FabricKind::NoSsd, FabricKind::Venice])
-            .requests(requests.unwrap_or(400)),
+            .requests(400),
         "faults" => SweepGrid::new("faults")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
@@ -139,7 +140,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
                 FabricKind::NoSsd,
                 FabricKind::Venice,
             ])
-            .requests(requests.unwrap_or(400)),
+            .requests(400),
         "tenants" => SweepGrid::new("tenants")
             .workload(WorkloadAxis::victim_solo())
             .workload(WorkloadAxis::noisy_neighbor())
@@ -152,7 +153,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
                 FabricKind::PnSsd,
                 FabricKind::Venice,
             ])
-            .requests(requests.unwrap_or(600)),
+            .requests(600),
         "resilience" => SweepGrid::new("resilience")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
@@ -166,7 +167,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
                 FabricKind::NoSsd,
                 FabricKind::Venice,
             ])
-            .requests(requests.unwrap_or(800)),
+            .requests(800),
         "rebuild" => SweepGrid::new("rebuild")
             .workload(WorkloadAxis::congested())
             .fault_plans(&[FaultPlan::Chip, FaultPlan::ChipAndLink])
@@ -179,7 +180,7 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
                 FabricKind::NoSsd,
                 FabricKind::Venice,
             ])
-            .requests(requests.unwrap_or(800)),
+            .requests(800),
         "scoutcache" => SweepGrid::new("scoutcache")
             .workload(WorkloadAxis::congested())
             .workload(WorkloadAxis::catalog("src2_1").expect("catalog"))
@@ -187,18 +188,13 @@ fn named_grid(name: &str, requests: Option<usize>) -> Option<SweepGrid> {
             .policies(&[DispatchPolicyKind::RetryAll, DispatchPolicyKind::Auto])
             .scout_caches(&[ScoutCacheKind::Off, ScoutCacheKind::On])
             .fabrics(&[FabricKind::Venice])
-            .requests(requests.unwrap_or(400)),
+            .requests(400),
         _ => return None,
     };
     let grid = grid.config(SsdConfig::performance_optimized());
-    let own_default = matches!(
-        name,
-        "mini" | "policy" | "bigmesh" | "scoutcache" | "faults" | "tenants" | "resilience"
-            | "rebuild"
-    );
     Some(match requests {
-        Some(r) if !own_default => grid.requests(r),
-        _ => grid,
+        Some(r) => grid.requests(r),
+        None => grid,
     })
 }
 
@@ -240,7 +236,7 @@ impl<K: PartialEq> MeanBy<K> {
 
 /// The sweep's point records, parsed, beside their grid coordinates. A
 /// record that does not parse reads as empty (every field absent).
-fn parsed_points(outcome: &ResumedSweep) -> Vec<(&SweepPoint, Value)> {
+fn parsed_points(outcome: &SweepOutcome) -> Vec<(&SweepPoint, Value)> {
     outcome
         .points()
         .iter()
@@ -282,7 +278,7 @@ fn ablation_doc<'a>(out: &'a mut String, name: &str, grid: &str) -> Writer<'a> {
 /// entry per point plus per-(plan × fabric) mean availability, with a
 /// headline comparing Venice against the bus fabrics under the single-link
 /// plan (the bus loses a whole row to one dead link; the mesh reroutes).
-fn write_fault_ablation(outcome: &ResumedSweep, path: &Path) {
+fn write_fault_ablation(outcome: &SweepOutcome, path: &Path) {
     let records = parsed_points(outcome);
     let availability = |r: &Value| num(r, &["faults", "availability"]).unwrap_or(0.0);
     // (plan label, fabric label) -> mean availability
@@ -358,7 +354,7 @@ fn write_fault_ablation(outcome: &ResumedSweep, path: &Path) {
 /// `venice_protects_victim` asserts Venice's degradation under the
 /// fair-share tenant set is strictly lower than every bus design's — path
 /// diversity, not just queue arbitration, is what isolates the victim.
-fn write_tenant_isolation(outcome: &ResumedSweep, path: &Path) {
+fn write_tenant_isolation(outcome: &SweepOutcome, path: &Path) {
     let records = parsed_points(outcome);
     let p99 = |r, name| tenant(r, name).and_then(|t| num(t, &["p99_ns"]));
     // Single-tenant points carry one pooled "all" tenant; the victim
@@ -436,7 +432,7 @@ fn write_tenant_isolation(outcome: &ResumedSweep, path: &Path) {
 /// deadlines when faults and overload hit together — path diversity turns
 /// the host layer's aborts and retries into recovered goodput instead of
 /// repeated misses against a dead row.
-fn write_resilience_ablation(outcome: &ResumedSweep, path: &Path) {
+fn write_resilience_ablation(outcome: &SweepOutcome, path: &Path) {
     let records = parsed_points(outcome);
     let goodput = |r: &Value| num(r, &["resilience", "goodput"]).unwrap_or(0.0);
     // (fault plan, resilience policy, tenant set, fabric) -> mean goodput
@@ -561,7 +557,7 @@ impl RebuildCell {
 /// NoSSD, the other mesh, is excluded from the booleans (its points still
 /// land in the artifact), mirroring the bus-only precedent of the fault,
 /// tenant-isolation, and resilience ablation headlines.
-fn write_rebuild_ablation(outcome: &ResumedSweep, path: &Path) {
+fn write_rebuild_ablation(outcome: &SweepOutcome, path: &Path) {
     let records = parsed_points(outcome);
     let cells: Vec<RebuildCell> = records
         .iter()
@@ -726,7 +722,7 @@ fn main() {
         Some(par) => grid.run_resumable(&results, &WorkerPool::new(par), fresh),
         None => grid.run_resumable(&results, WorkerPool::global(), fresh),
     };
-    report_resumed(&outcome);
+    report_sweep(&outcome, &results);
     if grid_name == "faults" {
         write_fault_ablation(&outcome, &results.join("fault_ablation.json"));
     }

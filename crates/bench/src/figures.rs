@@ -18,7 +18,9 @@ use venice_ssd::{all_systems, RunMetrics, SsdConfig};
 use venice_workloads::{catalog, mix, WorkloadAxis};
 
 use crate::sweep::SweepGrid;
-use crate::{metrics, requests, results_dir, run_catalog, run_trace, speedup, CatalogRow};
+use crate::{
+    metrics, requests, results_dir, run_catalog, run_trace, speedup, write_sweep, CatalogRow,
+};
 
 /// Table 1: the evaluated SSD configurations and Venice design parameters.
 pub fn table1() {
@@ -634,14 +636,7 @@ pub fn repro_all() {
         .requests(requests());
     eprintln!("==> master catalog sweep (2 configs x 19 workloads x 6 systems)");
     let outcome = master.run();
-    let summary = outcome.summary();
-    eprintln!("[venice-bench] {summary}");
-    let dir = outcome.write(&results_dir()).expect("write sweep artifact");
-    eprintln!(
-        "[venice-bench] sweep artifact: {} (manifest fingerprint {})",
-        dir.join("manifest.json").display(),
-        outcome.manifest_fingerprint()
-    );
+    write_sweep(&outcome, &results_dir());
 
     let perf_rows = outcome.rows_by_workload(|p| p.config_name == "performance-optimized");
     let cost_rows = outcome.rows_by_workload(|p| p.config_name == "cost-optimized");

@@ -36,7 +36,7 @@ use venice_interconnect::FabricKind;
 use venice_ssd::{run_single, RunMetrics, SsdConfig};
 use venice_workloads::{catalog, Trace, WorkloadAxis};
 
-use sweep::{SweepGrid, WorkerPool};
+use sweep::{SweepGrid, SweepOutcome, WorkerPool};
 
 /// Parses `name` from the environment, warning on stderr (and falling back
 /// to `default`) when the value is set but unparsable.
@@ -267,52 +267,25 @@ pub fn run_trace(config: &SsdConfig, systems: &[FabricKind], trace: &Trace) -> V
     )
 }
 
-/// The non-fabric coordinates of a sweep point — the key the report
-/// tables use to find a point's Baseline sibling. Keyed on the workload
-/// axis *index* (not the display name): axis names are user-supplied and
-/// need not be unique.
-fn point_coord(
-    p: &sweep::SweepPoint,
-) -> (
-    &'static str,
-    usize,
-    (u16, u16),
-    String,
-    usize,
-    venice_ssd::DispatchPolicyKind,
-    venice_ssd::FaultPlan,
-) {
-    (
-        p.config_name,
-        p.workload_idx,
-        p.shape,
-        p.timing_name.clone(),
-        p.queue_depth,
-        p.policy,
-        p.fault_plan,
-    )
-}
-
-/// Renders `(point, metrics)` rows as the per-point markdown table both
-/// sweep reports share, with speedup over the Baseline row at the same
-/// grid coordinates when one is present.
-fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report::Table {
+/// Renders sweep records as a per-point markdown table, with speedup over
+/// the Baseline record at the same [`sweep::SweepPoint::coord`] when one is
+/// present.
+fn point_table(records: &[sweep::PointRecord]) -> venice_ssd::report::Table {
     use venice_ssd::report::{f2, Table};
-    let baselines: Vec<(_, &RunMetrics)> = rows
-        .iter()
-        .filter(|(p, _)| p.fabric == FabricKind::Baseline)
-        .map(|&(p, m)| (point_coord(p), m))
-        .collect();
     let mut t = Table::new(
         ["point", "exec (ms)", "kIOPS", "conflict %", "vs Baseline"]
             .map(String::from)
             .to_vec(),
     );
-    for &(p, m) in rows {
-        let vs_baseline = baselines
+    for r in records {
+        let (p, m) = (&r.point, &r.metrics);
+        let vs_baseline = records
             .iter()
-            .find(|(c, _)| *c == point_coord(p))
-            .map_or_else(|| "-".to_string(), |(_, b)| format!("{}x", f2(m.speedup_over(b))));
+            .find(|b| b.point.fabric == FabricKind::Baseline && b.point.coord() == p.coord())
+            .map_or_else(
+                || "-".to_string(),
+                |b| format!("{}x", f2(m.speedup_over(&b.metrics))),
+            );
         t.row(vec![
             p.label.clone(),
             format!("{:.3}", m.execution_time.as_secs_f64() * 1e3),
@@ -324,55 +297,32 @@ fn point_table(rows: &[(&sweep::SweepPoint, &RunMetrics)]) -> venice_ssd::report
     t
 }
 
-/// Prints a sweep outcome as a per-point markdown table (with speedup over
-/// the Baseline point at the same grid coordinates, when the grid has one),
-/// writes the artifact under [`results_dir`], and prints the summary and
-/// manifest path to stderr.
-pub fn report_grid(outcome: &sweep::SweepOutcome) {
-    let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
-        .records()
-        .iter()
-        .map(|r| (&r.point, &r.metrics))
-        .collect();
-    println!("# Sweep {}: {} points\n", outcome.name(), outcome.records().len());
-    print!("{}", point_table(&rows).to_markdown());
-    let summary = outcome.summary();
-    eprintln!("[venice-bench] {summary}");
-    match outcome.write(&results_dir()) {
-        Ok(dir) => eprintln!(
-            "[venice-bench] sweep artifact: {} (manifest fingerprint {})",
-            dir.join("manifest.json").display(),
-            outcome.manifest_fingerprint()
-        ),
-        Err(e) => eprintln!("warning: cannot write sweep artifact: {e}"),
-    }
-}
-
-/// Prints a resumable sweep's outcome — the `sweep_catalog` CLI's default
-/// output path. Reused points are already on disk, so the table covers the
-/// points executed *this* run (with speedup over a same-coordinate Baseline
-/// point when one also ran); the manifest written to [`sweep::ResumedSweep::dir`]
-/// — the directory the sweep resumed from — always indexes all points.
-pub fn report_resumed(outcome: &sweep::ResumedSweep) {
-    let rows: Vec<(&sweep::SweepPoint, &RunMetrics)> = outcome
-        .executed()
-        .iter()
-        .map(|(id, m)| (&outcome.points()[*id], m))
-        .collect();
+/// Prints a sweep — the `sweep_catalog` CLI's output — as a per-point
+/// markdown table of the points simulated this run (reused points are
+/// already on disk), then writes its artifact with [`write_sweep`].
+pub fn report_sweep(outcome: &SweepOutcome, base_dir: &Path) {
+    let records = outcome.records();
     println!(
         "# Sweep {}: {} points ({} reused, {} executed)\n",
         outcome.name(),
         outcome.points().len(),
         outcome.reused_count(),
-        outcome.executed().len()
+        records.len()
     );
-    if rows.is_empty() {
+    if records.is_empty() {
         println!("all point records reused; pass --fresh to re-simulate\n");
     } else {
-        print!("{}", point_table(&rows).to_markdown());
+        print!("{}", point_table(records).to_markdown());
     }
+    write_sweep(outcome, base_dir);
+}
+
+/// Prints a sweep's throughput summary to stderr, writes its artifact
+/// under `base_dir` (see [`SweepOutcome::write`]), and reports the manifest
+/// path and metrics fingerprint, or warns when the write fails.
+pub fn write_sweep(outcome: &SweepOutcome, base_dir: &Path) {
     eprintln!("[venice-bench] {}", outcome.summary());
-    match outcome.write() {
+    match outcome.write(base_dir) {
         Ok(dir) => eprintln!(
             "[venice-bench] sweep artifact: {} (metrics fingerprint {})",
             dir.join("manifest.json").display(),
@@ -419,6 +369,27 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(speedup(&results, FabricKind::Venice) > 0.0);
         assert_eq!(metrics(&results, FabricKind::Venice).system, FabricKind::Venice);
+    }
+
+    #[test]
+    fn every_baseline_point_compares_to_itself() {
+        // The tenant and redundancy axes change the Baseline's own metrics,
+        // so a coordinate key ignoring either would divide a Baseline row
+        // by another axis value's Baseline.
+        let outcome = SweepGrid::new("unit-vs-baseline")
+            .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
+            .tenant_sets(&venice_ssd::TenantSet::presets())
+            .redundancy_kinds(&venice_ssd::RedundancyKind::ALL)
+            .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
+            .requests(60)
+            .run_on(&WorkerPool::new(1));
+        let table = point_table(outcome.records()).to_markdown();
+        let baseline_rows: Vec<&str> =
+            table.lines().filter(|l| l.contains("/Baseline |")).collect();
+        assert_eq!(baseline_rows.len(), outcome.records().len() / 2);
+        for row in baseline_rows {
+            assert!(row.ends_with("| 1.00x |"), "{row}");
+        }
     }
 
     #[test]

@@ -23,16 +23,20 @@
 //! # Example
 //!
 //! ```no_run
-//! use venice_bench::sweep::SweepGrid;
+//! use venice_bench::sweep::{SweepGrid, WorkerPool};
 //! use venice_interconnect::FabricKind;
 //! use venice_workloads::WorkloadAxis;
 //!
-//! let outcome = SweepGrid::new("demo")
+//! let grid = SweepGrid::new("demo")
 //!     .workload(WorkloadAxis::catalog("hm_0").unwrap())
 //!     .fabrics(&[FabricKind::Baseline, FabricKind::Venice])
-//!     .requests(500)
-//!     .run();
-//! let dir = outcome.write(&venice_bench::results_dir()).unwrap();
+//!     .requests(500);
+//! // `grid.run()` simulates every point in memory; the resumable run
+//! // reuses the point records a previous run of this grid left on disk.
+//! let results = venice_bench::results_dir();
+//! let outcome = grid.run_resumable(&results, WorkerPool::global(), false);
+//! println!("{} reused, {} simulated", outcome.reused_count(), outcome.records().len());
+//! let dir = outcome.write(&results).unwrap();
 //! println!("manifest at {}", dir.join("manifest.json").display());
 //! ```
 
@@ -516,51 +520,14 @@ impl SweepGrid {
         self.run_on(WorkerPool::global())
     }
 
-    /// Runs the grid on an explicit pool (used by the determinism tests to
-    /// compare pool sizes; results are bit-identical for every size).
-    ///
-    /// Traces are generated once per workload axis value — also on the
-    /// pool — and shared by reference across every point that replays
-    /// them, so a six-fabric grid does not generate its traces six times.
+    /// Runs every point of the grid in memory on an explicit pool (used by
+    /// the determinism tests to compare pool sizes; results are
+    /// bit-identical for every size). Never reads or writes the disk.
     pub fn run_on(&self, pool: &WorkerPool) -> SweepOutcome {
         let start = Instant::now();
-        let workloads = self.effective_workloads();
-        let requests = self.requests;
-        let traces: Vec<Trace> = pool.run(
-            workloads
-                .iter()
-                .map(|axis| move || axis.trace(requests))
-                .collect(),
-        );
         let points = self.build_points();
-        let metrics: Vec<RunMetrics> = pool.run(
-            points
-                .iter()
-                .map(|point| {
-                    let trace = &traces[point.workload_idx];
-                    move || run_point_guarded(point, trace)
-                })
-                .collect(),
-        );
-        let records: Vec<PointRecord> = points
-            .into_iter()
-            .zip(metrics)
-            .map(|(point, metrics)| PointRecord { point, metrics })
-            .collect();
-        // Serialize each point once up front: the fingerprints, manifest,
-        // and artifact writer all reuse these strings.
-        let point_jsons = records.iter().map(|r| r.metrics.to_json()).collect();
-        SweepOutcome {
-            grid_json: self.definition_json(),
-            name: self.name.clone(),
-            requests: self.requests,
-            workload_count: workloads.len(),
-            fabric_count: self.effective_fabrics().len(),
-            pool_threads: pool.threads(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            records,
-            point_jsons,
-        }
+        let prior = vec![None; points.len()];
+        self.execute(pool, points, prior, None, start)
     }
 
     /// Runs the grid, reusing any point records already on disk from a
@@ -570,24 +537,19 @@ impl SweepGrid {
     /// `grid.json` stamp byte-equals this grid's definition JSON (name,
     /// requests, every axis — so any change invalidates reuse; the
     /// stamp's FNV hash is the manifest's `grid_hash`). Points whose
-    /// record file exists are not re-simulated; only the missing ones run
-    /// on `pool`. `fresh` forces a full re-run regardless (the CLI's
-    /// `--fresh`).
+    /// record file holds a whole, non-failed record are not re-simulated;
+    /// only the rest run on `pool`. `fresh` forces a full re-run
+    /// regardless (the CLI's `--fresh`).
     ///
     /// The grid stamp is written *before* any simulation and every
     /// executed point persists its record (atomically, via a temp-file
     /// rename) *as it completes*, so a killed sweep resumes from the
     /// points it finished. When the stamp does not match, stale point
     /// records are cleared first — records from two different grids can
-    /// never mix. Call [`ResumedSweep::write`] afterwards to (re)write
-    /// the manifest indexing all points; until then, a prior run's
-    /// manifest may lag the stamp.
-    pub fn run_resumable(
-        &self,
-        base_dir: &Path,
-        pool: &WorkerPool,
-        fresh: bool,
-    ) -> ResumedSweep {
+    /// never mix. Call [`SweepOutcome::write`] with the same `base_dir`
+    /// afterwards to (re)write the manifest indexing all points; until
+    /// then, a prior run's manifest may lag the stamp.
+    pub fn run_resumable(&self, base_dir: &Path, pool: &WorkerPool, fresh: bool) -> SweepOutcome {
         let start = Instant::now();
         let points = self.build_points();
         let grid_json = self.definition_json();
@@ -595,25 +557,21 @@ impl SweepGrid {
         let grid_file = dir.join("grid.json");
         let resumable = !fresh
             && std::fs::read_to_string(&grid_file).is_ok_and(|g| g == grid_json);
-        let jsons: Vec<Option<String>> = points
+        // Records are written atomically, so parsing is belt-and-suspenders:
+        // only a whole JSON object is trusted. A failed (panicked) point's
+        // placeholder record is never reused: the resumed sweep retries it.
+        let prior = points
             .iter()
             .map(|p| {
-                if !resumable {
-                    return None;
-                }
-                // Records are written atomically, so parsing is belt-and-
-                // suspenders: only a whole JSON object is trusted. A failed
-                // (panicked) point's placeholder record is never reused:
-                // the resumed sweep retries it.
-                std::fs::read_to_string(dir.join(p.file_name()))
-                    .ok()
+                resumable
+                    .then(|| std::fs::read_to_string(dir.join(p.file_name())).ok())
+                    .flatten()
                     .filter(|s| {
                         Value::parse(s)
                             .is_ok_and(|r| r.as_object().is_some() && record_status(&r) != "failed")
                     })
             })
             .collect();
-        let reused: Vec<bool> = jsons.iter().map(|j| j.is_some()).collect();
         if !resumable {
             // Different grid (or --fresh): clear stale records before
             // stamping the new definition.
@@ -623,11 +581,28 @@ impl SweepGrid {
         // results dir degrades to a non-resumable sweep, not a failure).
         let _ = std::fs::create_dir_all(dir.join("points"));
         let _ = write_atomic(&grid_file, grid_json.as_bytes());
-        // Generate traces only for workloads some missing point still needs.
+        self.execute(pool, points, prior, Some(&dir), start)
+    }
+
+    /// The run body shared by [`SweepGrid::run_on`] and
+    /// [`SweepGrid::run_resumable`]: simulates every point whose `prior`
+    /// record is `None`, generating traces only for the workloads those
+    /// points replay (once per workload, shared by reference across every
+    /// point that replays it). When `persist` names a sweep directory, each
+    /// record is written there the moment its point completes.
+    fn execute(
+        &self,
+        pool: &WorkerPool,
+        points: Vec<SweepPoint>,
+        prior: Vec<Option<String>>,
+        persist: Option<&Path>,
+        start: Instant,
+    ) -> SweepOutcome {
         let workloads = self.effective_workloads();
         let requests = self.requests;
+        let missing: Vec<&SweepPoint> = points.iter().filter(|p| prior[p.id].is_none()).collect();
         let mut needed = vec![false; workloads.len()];
-        for p in points.iter().filter(|p| !reused[p.id]) {
+        for p in &missing {
             needed[p.workload_idx] = true;
         }
         let traces: Vec<Option<Trace>> = pool.run(
@@ -637,47 +612,49 @@ impl SweepGrid {
                 .map(|(axis, &need)| move || need.then(|| axis.trace(requests)))
                 .collect(),
         );
-        let missing: Vec<&SweepPoint> = points.iter().filter(|p| !reused[p.id]).collect();
-        let dir_ref = &dir;
         let results: Vec<(RunMetrics, String)> = pool.run(
             missing
                 .iter()
-                .map(|point| {
+                .map(|&point| {
                     let trace = traces[point.workload_idx]
                         .as_ref()
-                        .expect("trace generated for missing point");
+                        .expect("trace generated for a missing point");
                     move || {
-                        let m = run_point_guarded(point, trace);
-                        // Persist the record the moment the point finishes,
-                        // so a killed sweep resumes from here (best-effort).
-                        let json = m.to_json();
-                        let _ =
-                            write_atomic(&dir_ref.join(point.file_name()), json.as_bytes());
-                        (m, json)
+                        let metrics = run_point_guarded(point, trace);
+                        let json = metrics.to_json();
+                        if let Some(dir) = persist {
+                            // Best-effort, like the stamp: a record that
+                            // fails to land only re-runs on resume.
+                            let _ = write_atomic(&dir.join(point.file_name()), json.as_bytes());
+                        }
+                        (metrics, json)
                     }
                 })
                 .collect(),
         );
-        let mut jsons = jsons;
-        let mut executed = Vec::with_capacity(missing.len());
-        for (point, (m, json)) in missing.into_iter().zip(results) {
-            jsons[point.id] = Some(json);
-            executed.push((point.id, m));
+        let mut point_jsons = prior;
+        let mut records = Vec::with_capacity(results.len());
+        for (point, (metrics, json)) in missing.into_iter().zip(results) {
+            point_jsons[point.id] = Some(json);
+            records.push(PointRecord {
+                point: point.clone(),
+                metrics,
+            });
         }
-        ResumedSweep {
-            grid_json,
+        SweepOutcome {
+            grid_json: self.definition_json(),
             name: self.name.clone(),
-            requests: self.requests,
+            requests,
+            workload_count: workloads.len(),
+            fabric_count: self.effective_fabrics().len(),
             pool_threads: pool.threads(),
             wall_seconds: start.elapsed().as_secs_f64(),
-            point_jsons: jsons
+            point_jsons: point_jsons
                 .into_iter()
                 .map(|j| j.expect("every point reused or executed"))
                 .collect(),
             points,
-            reused,
-            executed,
-            dir,
+            records,
         }
     }
 
@@ -820,6 +797,18 @@ impl SweepPoint {
             .collect();
         format!("points/p{:04}-{}.json", self.id, slug)
     }
+
+    /// The point's coordinates on every axis but the fabric: two points of
+    /// a grid share it exactly when they differ only in fabric. It is the
+    /// label without its fabric segment, keyed on the workload axis
+    /// *index* (axis names are user-supplied and need not be unique).
+    pub fn coord(&self) -> (usize, &str) {
+        let (axes, _fabric) = self
+            .label
+            .rsplit_once('/')
+            .expect("a point label ends in its fabric");
+        (self.workload_idx, axes)
+    }
 }
 
 /// One executed point: its coordinates plus the run's metrics.
@@ -831,8 +820,10 @@ pub struct PointRecord {
     pub metrics: RunMetrics,
 }
 
-/// The result of running a [`SweepGrid`]: every point's metrics in point-id
-/// order, plus everything needed to write a reproducible artifact.
+/// The result of running a [`SweepGrid`]: every point and its stable JSON
+/// record in point-id order, the metrics of the points simulated this run,
+/// and everything needed to write a reproducible artifact. Records a
+/// resumed run reused from disk have JSON but no [`RunMetrics`].
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
     grid_json: String,
@@ -842,16 +833,35 @@ pub struct SweepOutcome {
     fabric_count: usize,
     pool_threads: usize,
     wall_seconds: f64,
-    records: Vec<PointRecord>,
-    /// `records[i].metrics.to_json()`, computed once at construction and
-    /// shared by the fingerprints, manifest, and artifact writer.
+    /// Every grid point, in id order.
+    points: Vec<SweepPoint>,
+    /// One stable-JSON record per point, in id order: shared by the
+    /// fingerprints, manifest, and artifact writer.
     point_jsons: Vec<String>,
+    /// The points simulated this run, with their metrics, in id order.
+    records: Vec<PointRecord>,
 }
 
 impl SweepOutcome {
-    /// The executed points, in point-id order.
+    /// The points simulated this run, with their metrics, in point-id
+    /// order (every point, unless a resumed run reused some).
     pub fn records(&self) -> &[PointRecord] {
         &self.records
+    }
+
+    /// Every grid point, in id order.
+    pub fn points(&self) -> &[SweepPoint] {
+        &self.points
+    }
+
+    /// The per-point stable-JSON records, in id order.
+    pub fn point_jsons(&self) -> &[String] {
+        &self.point_jsons
+    }
+
+    /// How many point records were reused from a prior artifact.
+    pub fn reused_count(&self) -> usize {
+        self.points.len() - self.records.len()
     }
 
     /// The grid's name.
@@ -866,76 +876,68 @@ impl SweepOutcome {
 
     /// FNV-1a hash of the grid definition JSON: identifies *what* was swept.
     pub fn grid_hash(&self) -> String {
-        Fingerprints::of(&self.grid_json, &self.point_jsons).grid_hash
+        self.fingerprints().grid_hash
     }
 
-    /// FNV-1a hash chained over every point's metrics JSON in id order:
-    /// identifies *what came out*. Bit-identical across pool sizes and
-    /// execution orders; wall-clock time and environment are excluded.
+    /// FNV-1a hash chained over every point record in id order:
+    /// identifies *what came out*. Bit-identical across pool sizes,
+    /// execution orders, and resumed runs; wall-clock time and environment
+    /// are excluded.
     pub fn metrics_fingerprint(&self) -> String {
-        Fingerprints::of(&self.grid_json, &self.point_jsons).metrics
+        self.fingerprints().metrics
     }
 
     /// Grid hash and metrics fingerprint folded together (the point chain
     /// seeded with the grid-definition hash): the manifest's single
     /// comparison handle for "same sweep, same results".
     pub fn manifest_fingerprint(&self) -> String {
-        Fingerprints::of(&self.grid_json, &self.point_jsons).manifest
+        self.fingerprints().manifest
     }
 
-    /// Total simulator events across all points.
+    fn fingerprints(&self) -> Fingerprints {
+        Fingerprints::of(&self.grid_json, &self.point_jsons)
+    }
+
+    /// Total simulator events across all points (read back out of the
+    /// records, so reused points count too).
     pub fn events(&self) -> u64 {
-        self.records.iter().map(|r| r.metrics.events).sum()
+        self.point_jsons
+            .iter()
+            .filter_map(|j| Value::parse(j).ok()?.get("events")?.as_u64())
+            .sum()
     }
 
-    /// The sweep's throughput summary (compatible with the catalog-sweep
-    /// summary line the harness has printed since PR 1).
+    /// The sweep's throughput summary (the catalog-sweep summary line;
+    /// reused points contribute their recorded events but no fresh
+    /// wall-clock work).
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
             workloads: self.workload_count,
             systems: self.fabric_count,
-            points: self.records.len(),
+            points: self.points.len(),
             par: self.pool_threads,
             wall_seconds: self.wall_seconds,
             events: self.events(),
         }
     }
 
-    /// Regroups the outcome into `(workload name, metrics per fabric)` rows
-    /// for points matching `filter`, preserving point order — the shape the
-    /// figure renderers consume.
+    /// Regroups the simulated points into `(workload name, metrics per
+    /// fabric)` rows for points matching `filter`, preserving point order —
+    /// the shape the figure renderers consume.
     ///
-    /// A row is one full non-fabric coordinate — (config, workload, shape,
-    /// timing, queue depth, policy, scout cache, fault plan, tenant set,
-    /// resilience policy, redundancy scheme) — so metrics from different
-    /// configurations are never merged into one row: on a grid where
-    /// `filter` leaves several configs/shapes/timings/depths/policies/
-    /// caches/tenant-sets/resilience/redundancy presets, the same workload
-    /// name simply appears once per coordinate. Within a row, metrics are
-    /// in fabric-axis order.
+    /// A row is one [`SweepPoint::coord`] — every axis but the fabric — so
+    /// metrics from different configurations are never merged into one
+    /// row: on a grid where `filter` leaves several values of another
+    /// axis, the same workload name simply appears once per coordinate.
+    /// Within a row, metrics are in fabric-axis order.
     pub fn rows_by_workload(
         &self,
         filter: impl Fn(&SweepPoint) -> bool,
     ) -> Vec<CatalogRow> {
-        let coord = |p: &SweepPoint| {
-            (
-                p.config_name,
-                p.workload_idx,
-                p.shape,
-                p.timing_name.clone(),
-                p.queue_depth,
-                p.policy,
-                p.scout_cache,
-                p.fault_plan,
-                p.tenants.clone(),
-                p.resilience,
-                p.redundancy,
-            )
-        };
         let mut rows: Vec<CatalogRow> = Vec::new();
         let mut last_coord = None;
         for r in self.records.iter().filter(|r| filter(&r.point)) {
-            let key = Some(coord(&r.point));
+            let key = Some(r.point.coord());
             if last_coord != key {
                 rows.push((r.point.workload.clone(), Vec::new()));
                 last_coord = key;
@@ -957,22 +959,53 @@ impl SweepOutcome {
     /// The sweep manifest as one JSON document: grid definition, git
     /// revision, environment knobs, pool/wall-clock info, fingerprints,
     /// and the per-point index with headline numbers for quick diffing.
+    /// Headline numbers are read back out of the parsed point records, so
+    /// a reused record and a fresh one index identically.
     pub fn manifest_json(&self) -> String {
-        let points: Vec<SweepPoint> = self.records.iter().map(|r| r.point.clone()).collect();
-        manifest_json_for(
-            &self.name,
-            &self.grid_json,
-            self.requests,
-            self.pool_threads,
-            self.wall_seconds,
-            &points,
-            &self.point_jsons,
-        )
+        let fp = self.fingerprints();
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object(Layout::Block)
+            .field("name", &self.name)
+            .field("engine", "venice_bench::sweep")
+            .field("git", git_describe())
+            .field("requests", self.requests)
+            .field("points_total", self.points.len())
+            .field("pool_threads", self.pool_threads)
+            .field("wall_seconds", self.wall_seconds);
+        w.key("env").object(Layout::Inline);
+        for knob in ["VENICE_REQUESTS", "VENICE_PAR", "VENICE_RESULTS_DIR"] {
+            w.field(knob, std::env::var(knob).ok());
+        }
+        w.end()
+            .key("grid")
+            .raw(&self.grid_json)
+            .field("grid_hash", fp.grid_hash)
+            .field("metrics_fingerprint", fp.metrics)
+            .field("manifest_fingerprint", fp.manifest);
+        w.key("points").array(Layout::Block);
+        for (p, json) in self.points.iter().zip(&self.point_jsons) {
+            let record = Value::parse(json).unwrap_or(Value::Null);
+            let count = |key| record.get(key).and_then(Value::as_u64).unwrap_or(0);
+            w.object(Layout::Inline)
+                .field("id", p.id)
+                .field("label", &p.label)
+                .field("file", p.file_name())
+                .field("status", record_status(&record))
+                .field("execution_time_ns", count("execution_time_ns"))
+                .field("events", count("events"))
+                .end();
+        }
+        w.end().end();
+        out.push('\n');
+        out
     }
 
-    /// Writes the sweep artifact under `base_dir`: a
-    /// `sweep_<name>/manifest.json` plus one `points/p<id>-<label>.json`
-    /// metrics record per point. Returns the sweep directory.
+    /// Writes the sweep artifact under `base_dir/sweep_<name>/`: the
+    /// `grid.json` definition stamp, one `points/p<id>-<label>.json` record
+    /// per point, and the `manifest.json` indexing them all, each file
+    /// atomically (a resumed run rewrites its reused records unchanged).
+    /// Returns the sweep directory.
     ///
     /// # Errors
     ///
@@ -980,155 +1013,12 @@ impl SweepOutcome {
     pub fn write(&self, base_dir: &Path) -> std::io::Result<PathBuf> {
         let dir = base_dir.join(format!("sweep_{}", self.name));
         std::fs::create_dir_all(dir.join("points"))?;
-        for (r, json) in self.records.iter().zip(&self.point_jsons) {
-            std::fs::write(dir.join(r.point.file_name()), json)?;
-        }
-        std::fs::write(dir.join("manifest.json"), self.manifest_json())?;
-        Ok(dir)
-    }
-}
-
-/// The result of a resumable sweep ([`SweepGrid::run_resumable`]): every
-/// point's stable JSON record in id order — reused from disk or freshly
-/// simulated — plus the metrics of the points that actually ran.
-#[derive(Clone, Debug)]
-pub struct ResumedSweep {
-    grid_json: String,
-    name: String,
-    requests: usize,
-    pool_threads: usize,
-    wall_seconds: f64,
-    points: Vec<SweepPoint>,
-    /// One stable-JSON record per point, in point-id order.
-    point_jsons: Vec<String>,
-    /// Whether each point's record was reused from a prior artifact.
-    reused: Vec<bool>,
-    /// `(point id, metrics)` of the points executed this run, in id order.
-    executed: Vec<(usize, RunMetrics)>,
-    /// The sweep artifact directory this run resumed from and persists to.
-    dir: PathBuf,
-}
-
-impl ResumedSweep {
-    /// The grid's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Every grid point, in id order.
-    pub fn points(&self) -> &[SweepPoint] {
-        &self.points
-    }
-
-    /// The per-point stable-JSON records, in id order.
-    pub fn point_jsons(&self) -> &[String] {
-        &self.point_jsons
-    }
-
-    /// How many point records were reused from the prior artifact.
-    pub fn reused_count(&self) -> usize {
-        self.reused.iter().filter(|&&r| r).count()
-    }
-
-    /// Whether point `id`'s record was reused.
-    pub fn point_reused(&self, id: usize) -> bool {
-        self.reused[id]
-    }
-
-    /// The points executed this run, with their metrics, in id order.
-    pub fn executed(&self) -> &[(usize, RunMetrics)] {
-        &self.executed
-    }
-
-    /// Wall-clock seconds this (partial) run took.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_seconds
-    }
-
-    /// FNV-1a hash of the grid definition JSON (same as
-    /// [`SweepOutcome::grid_hash`] for the same grid).
-    pub fn grid_hash(&self) -> String {
-        Fingerprints::of(&self.grid_json, &self.point_jsons).grid_hash
-    }
-
-    /// FNV-1a hash chained over every point record in id order. A resumed
-    /// run of a deterministic grid produces the same fingerprint as the
-    /// uninterrupted run it is completing.
-    pub fn metrics_fingerprint(&self) -> String {
-        Fingerprints::of(&self.grid_json, &self.point_jsons).metrics
-    }
-
-    /// Total simulator events across all points (parsed back out of the
-    /// stable records, so reused points count too).
-    pub fn events(&self) -> u64 {
-        self.point_jsons
-            .iter()
-            .filter_map(|j| Value::parse(j).ok()?.get("events")?.as_u64())
-            .sum()
-    }
-
-    /// The manifest document (same schema as [`SweepOutcome::manifest_json`]).
-    pub fn manifest_json(&self) -> String {
-        manifest_json_for(
-            &self.name,
-            &self.grid_json,
-            self.requests,
-            self.pool_threads,
-            self.wall_seconds,
-            &self.points,
-            &self.point_jsons,
-        )
-    }
-
-    /// The sweep artifact directory (`<base_dir>/sweep_<name>`) this run
-    /// resumed from; executed point records were already persisted there
-    /// as they completed.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Completes the on-disk artifact in [`ResumedSweep::dir`]: re-writes
-    /// every point record (executed ones were already persisted as they
-    /// completed; this repairs any that a full disk dropped) and the full
-    /// manifest indexing all points. Returns the sweep directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or file writes.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(self.dir.join("points"))?;
+        write_atomic(&dir.join("grid.json"), self.grid_json.as_bytes())?;
         for (p, json) in self.points.iter().zip(&self.point_jsons) {
-            let path = self.dir.join(p.file_name());
-            if !self.reused[p.id] || !path.is_file() {
-                write_atomic(&path, json.as_bytes())?;
-            }
+            write_atomic(&dir.join(p.file_name()), json.as_bytes())?;
         }
-        write_atomic(&self.dir.join("manifest.json"), self.manifest_json().as_bytes())?;
-        Ok(self.dir.clone())
-    }
-
-    /// The sweep's throughput summary (reused points contribute their
-    /// recorded events but no fresh wall-clock work).
-    pub fn summary(&self) -> crate::SweepSummary {
-        let mut systems: Vec<FabricKind> = Vec::new();
-        for p in &self.points {
-            if !systems.contains(&p.fabric) {
-                systems.push(p.fabric);
-            }
-        }
-        crate::SweepSummary {
-            workloads: self
-                .points
-                .iter()
-                .map(|p| p.workload_idx)
-                .max()
-                .map_or(0, |m| m + 1),
-            systems: systems.len(),
-            points: self.points.len(),
-            par: self.pool_threads,
-            wall_seconds: self.wall_seconds,
-            events: self.events(),
-        }
+        write_atomic(&dir.join("manifest.json"), self.manifest_json().as_bytes())?;
+        Ok(dir)
     }
 }
 
@@ -1188,57 +1078,6 @@ impl Fingerprints {
             manifest: hex(chain(grid)),
         }
     }
-}
-
-/// The manifest document shared by [`SweepOutcome`] and [`ResumedSweep`]:
-/// headline per-point numbers are read back out of the parsed point
-/// records, so a reused record and a fresh one index identically.
-fn manifest_json_for(
-    name: &str,
-    grid_json: &str,
-    requests: usize,
-    pool_threads: usize,
-    wall_seconds: f64,
-    points: &[SweepPoint],
-    point_jsons: &[String],
-) -> String {
-    let fp = Fingerprints::of(grid_json, point_jsons);
-    let mut out = String::new();
-    let mut w = Writer::new(&mut out);
-    w.object(Layout::Block)
-        .field("name", name)
-        .field("engine", "venice_bench::sweep")
-        .field("git", git_describe())
-        .field("requests", requests)
-        .field("points_total", points.len())
-        .field("pool_threads", pool_threads)
-        .field("wall_seconds", wall_seconds);
-    w.key("env").object(Layout::Inline);
-    for knob in ["VENICE_REQUESTS", "VENICE_PAR", "VENICE_RESULTS_DIR"] {
-        w.field(knob, std::env::var(knob).ok());
-    }
-    w.end()
-        .key("grid")
-        .raw(grid_json)
-        .field("grid_hash", fp.grid_hash)
-        .field("metrics_fingerprint", fp.metrics)
-        .field("manifest_fingerprint", fp.manifest);
-    w.key("points").array(Layout::Block);
-    for (p, json) in points.iter().zip(point_jsons) {
-        let record = Value::parse(json).unwrap_or(Value::Null);
-        let count = |key| record.get(key).and_then(Value::as_u64).unwrap_or(0);
-        w.object(Layout::Inline)
-            .field("id", p.id)
-            .field("label", &p.label)
-            .field("file", p.file_name())
-            .field("status", record_status(&record))
-            .field("execution_time_ns", count("execution_time_ns"))
-            .field("events", count("events"))
-            .end();
-    }
-    w.end().end();
-    out.push('\n');
-    out
 }
 
 #[cfg(test)]
@@ -1333,10 +1172,7 @@ mod tests {
         }
         let def = grid.definition_json();
         assert!(
-            def.contains(
-                "\"policies\": [\"retry-all\", \"conflict-backoff\", \"round-robin-quota\", \
-                 \"auto\"]"
-            ),
+            def.contains("\"policies\": [\"retry-all\", \"conflict-backoff\", \"auto\"]"),
             "definition must carry the policy axis: {def}"
         );
         // An unset axis serializes as the base marker, like the other axes.

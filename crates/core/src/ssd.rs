@@ -288,34 +288,6 @@ enum DegradedRead {
     Lost,
 }
 
-/// A fixed-capacity bitset over dense ids (physical page indices).
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn with_capacity(bits: u64) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64) as usize],
-        }
-    }
-
-    #[inline]
-    fn contains(&self, i: u64) -> bool {
-        self.words[(i / 64) as usize] & (1 << (i % 64)) != 0
-    }
-
-    #[inline]
-    fn insert(&mut self, i: u64) {
-        self.words[(i / 64) as usize] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn remove(&mut self, i: u64) {
-        self.words[(i / 64) as usize] &= !(1 << (i % 64));
-    }
-}
-
 /// The SSD simulator. Construct with [`SsdSim::new`], run a whole trace with
 /// [`SsdSim::run`], and read the resulting [`RunMetrics`].
 ///
@@ -379,7 +351,7 @@ pub struct SsdSim {
     blocked_erases: Vec<(usize, usize)>,
     /// Physical pages allocated but not yet programmed: reads of these are
     /// served from the controller's write buffer without touching flash.
-    pending_programs: BitSet,
+    pending_programs: DenseBitSet,
     /// Pages whose program failed before reaching the array while an
     /// earlier page of the same block was still unprogrammed. Each is
     /// skipped once its block's write pointer reaches it (see
@@ -597,7 +569,7 @@ impl SsdSim {
             active_gc_planes: vec![false; total_planes],
             block_users: vec![0; total_blocks],
             blocked_erases: Vec::new(),
-            pending_programs: BitSet::with_capacity(physical),
+            pending_programs: DenseBitSet::with_capacity(physical as usize),
             program_holes: Vec::new(),
             buffer_hits: 0,
             throttled_writes: VecDeque::new(),
@@ -1058,7 +1030,7 @@ impl SsdSim {
             self.charge_mapping_lookup(now, lpa);
             match req.op {
                 IoOp::Read => match self.ftl.translate_read(lpa).expect("lpa in range") {
-                    Some(gppa) if self.pending_programs.contains(gppa.0) => {
+                    Some(gppa) if self.pending_programs.contains(gppa.0 as usize) => {
                         // The page's program is still in flight: the data is
                         // in the controller's write buffer — serve it there.
                         self.buffer_hits += 1;
@@ -1170,7 +1142,7 @@ impl SsdSim {
         match self.ftl.allocate_write(lpa) {
             Ok(gppa) => {
                 self.cmt.mark_dirty(lpa);
-                self.pending_programs.insert(gppa.0);
+                self.pending_programs.insert(gppa.0 as usize);
                 let target = self.ftl.config().array.unpack(gppa);
                 self.spawn_txn(
                     now,
@@ -1196,7 +1168,7 @@ impl SsdSim {
             return;
         }
         if let Some(gppa) = self.ftl.translate(lpa) {
-            if !self.pending_programs.contains(gppa.0) {
+            if !self.pending_programs.contains(gppa.0 as usize) {
                 let target = self.ftl.config().array.unpack(gppa);
                 self.spawn_txn(now, TxnKind::MapRead, target, Some(lpa), None, NO_MIGRATION);
             }
@@ -1853,7 +1825,7 @@ impl SsdSim {
             self.hil.complete_background();
             return;
         };
-        if self.pending_programs.contains(gppa.0) {
+        if self.pending_programs.contains(gppa.0 as usize) {
             // The lost copy's program never landed but its data is still in
             // the controller's write buffer: rebuild without touching the
             // survivors.
@@ -1979,7 +1951,7 @@ impl SsdSim {
         }
         match dest {
             Some((gppa, target)) => {
-                self.pending_programs.insert(gppa.0);
+                self.pending_programs.insert(gppa.0 as usize);
                 self.spawn_txn(now, TxnKind::RebuildWrite, target, Some(lpa), None, NO_MIGRATION);
             }
             None => {
@@ -2378,7 +2350,7 @@ impl SsdSim {
     fn complete_txn(&mut self, now: SimTime, txn: Transaction, migration: usize) {
         if txn.kind.is_write() {
             let gppa = self.ftl.config().array.pack(txn.target);
-            self.pending_programs.remove(gppa.0);
+            self.pending_programs.remove(gppa.0 as usize);
         }
         if txn.kind.is_read() || txn.kind.is_write() {
             self.release_block_user(now, txn.target);
@@ -2457,7 +2429,7 @@ impl SsdSim {
         let mut flash = std::mem::take(&mut self.mig_flash);
         debug_assert!(buffered.is_empty() && flash.is_empty());
         for &(lpa, old) in &job.pages {
-            if self.pending_programs.contains(old.0) {
+            if self.pending_programs.contains(old.0 as usize) {
                 buffered.push((lpa, old));
             } else {
                 flash.push((lpa, old));
@@ -2493,7 +2465,7 @@ impl SsdSim {
             .relocate(lpa, old, wear)
             .expect("relocation cannot run out of space");
         if let Some(new_gppa) = dest {
-            self.pending_programs.insert(new_gppa.0);
+            self.pending_programs.insert(new_gppa.0 as usize);
             let target = self.ftl.config().array.unpack(new_gppa);
             let kind = if wear { TxnKind::WearWrite } else { TxnKind::GcWrite };
             self.spawn_txn(now, kind, target, Some(lpa), None, slot);

@@ -255,7 +255,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .requests(150);
     let serial = grid.run_on(&WorkerPool::new(1));
     let pooled = grid.run_on(&WorkerPool::new(4));
-    assert_eq!(serial.records().len(), 16); // 2 workloads × 4 policies × 2 fabrics
+    assert_eq!(serial.records().len(), 12); // 2 workloads × 3 policies × 2 fabrics
     for (a, b) in serial.records().iter().zip(pooled.records()) {
         assert_eq!(a.point.policy, b.point.policy);
         assert_eq!(a.metrics.policy, a.point.policy, "metrics must carry the policy");
@@ -279,7 +279,7 @@ fn policies_are_deterministic_across_pool_sizes() {
         .iter()
         .filter(|r| r.point.fabric == SystemKind::Venice && r.point.workload == "congested")
         .collect();
-    assert_eq!(venice_congested.len(), 4);
+    assert_eq!(venice_congested.len(), 3);
     let backoff = venice_congested
         .iter()
         .find(|r| r.point.policy == DispatchPolicyKind::ConflictBackoff)
@@ -323,6 +323,17 @@ fn policies_are_deterministic_across_pool_sizes() {
     assert_eq!(base_auto.metrics.dispatch, base_retry.metrics.dispatch);
 }
 
+/// A sweep manifest without its run-local `wall_seconds` line: manifests
+/// of the same sweep agree up to wall-clock time (whose f64 Display length
+/// varies run to run, so comparing raw lengths is flaky).
+fn without_wall_seconds(manifest: &str) -> String {
+    manifest
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("\"wall_seconds\""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Resumable sweeps: a second run of the same grid reuses every on-disk
 /// point record (simulating nothing) yet converges to the same manifest
 /// fingerprint, a changed grid is not resumed, and `fresh` forces
@@ -341,39 +352,32 @@ fn resumable_sweeps_skip_existing_points() {
         .requests(80);
     let pool = WorkerPool::new(2);
 
+    let dir = base.join("sweep_resume");
     let first = grid.run_resumable(&base, &pool, false);
     assert_eq!(first.reused_count(), 0, "nothing on disk yet");
-    assert_eq!(first.executed().len(), 2);
+    assert_eq!(first.records().len(), 2);
 
     // Point records persist as they complete (no write() call yet), so a
     // killed sweep resumes from the points it finished.
     let second = grid.run_resumable(&base, &pool, false);
     assert_eq!(second.reused_count(), 2, "all records reused");
-    assert!(second.executed().is_empty());
+    assert!(second.records().is_empty());
     assert_eq!(second.metrics_fingerprint(), first.metrics_fingerprint());
-    // Manifests agree up to run-local wall-clock time (whose f64 Display
-    // length varies run to run — comparing raw lengths here was flaky).
-    let strip_wall = |m: String| -> String {
-        m.lines()
-            .filter(|l| !l.trim_start().starts_with("\"wall_seconds\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     assert_eq!(
-        strip_wall(second.manifest_json()),
-        strip_wall(first.manifest_json())
+        without_wall_seconds(&second.manifest_json()),
+        without_wall_seconds(&first.manifest_json())
     );
-    first.write().expect("write artifact");
-    assert!(first.dir().join("manifest.json").is_file());
-    assert!(first.dir().join("grid.json").is_file());
+    assert_eq!(first.write(&base).expect("write artifact"), dir);
+    assert!(dir.join("manifest.json").is_file());
+    assert!(dir.join("grid.json").is_file());
 
     // Deleting one record resumes exactly the missing point.
     let victim = &first.points()[1];
-    std::fs::remove_file(first.dir().join(victim.file_name())).expect("remove one record");
+    std::fs::remove_file(dir.join(victim.file_name())).expect("remove one record");
     let third = grid.run_resumable(&base, &pool, false);
     assert_eq!(third.reused_count(), 1);
-    assert_eq!(third.executed().len(), 1);
-    assert_eq!(third.executed()[0].0, victim.id);
+    assert_eq!(third.records().len(), 1);
+    assert_eq!(third.records()[0].point.id, victim.id);
     assert_eq!(third.metrics_fingerprint(), first.metrics_fingerprint());
 
     // A different grid definition must not reuse the artifact.
@@ -384,25 +388,69 @@ fn resumable_sweeps_skip_existing_points() {
         .requests(90);
     let fourth = other.run_resumable(&base, &pool, false);
     assert_eq!(fourth.reused_count(), 0, "grid definition changed");
-    let stamp = std::fs::read_to_string(fourth.dir().join("grid.json"))
+    let stamp = std::fs::read_to_string(dir.join("grid.json"))
         .expect("stamp written before simulation");
     assert!(stamp.contains("\"requests\": 90"), "stamp follows the new grid");
 
     // A torn (truncated) record is never trusted, even under a matching
     // stamp: the structural filter forces that point to re-run.
-    let torn = fourth.dir().join(fourth.points()[0].file_name());
+    let torn = dir.join(fourth.points()[0].file_name());
     std::fs::write(&torn, "{\"system\": \"Base").expect("plant torn record");
     let healed = other.run_resumable(&base, &pool, false);
     assert_eq!(healed.reused_count(), 1, "whole record reused");
-    assert_eq!(healed.executed().len(), 1, "torn record re-executed");
-    assert_eq!(healed.executed()[0].0, fourth.points()[0].id);
+    assert_eq!(healed.records().len(), 1, "torn record re-executed");
+    assert_eq!(healed.records()[0].point.id, fourth.points()[0].id);
     assert_eq!(healed.metrics_fingerprint(), fourth.metrics_fingerprint());
 
     // And --fresh bypasses matching records.
     let fifth = grid.run_resumable(&base, &pool, true);
     assert_eq!(fifth.reused_count(), 0);
-    assert_eq!(fifth.executed().len(), 2);
+    assert_eq!(fifth.records().len(), 2);
     assert_eq!(fifth.metrics_fingerprint(), first.metrics_fingerprint());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The in-memory and resumable run paths share one body: a fresh
+/// resumable run of a grid matches `run_on` metric for metric and
+/// fingerprint for fingerprint, and writes the same files.
+#[test]
+fn in_memory_and_fresh_resumable_runs_agree() {
+    use venice_bench::sweep::{SweepGrid, WorkerPool};
+    use venice_workloads::WorkloadAxis;
+
+    let base = std::env::temp_dir().join("venice-run-paths-test");
+    let _ = std::fs::remove_dir_all(&base);
+    let grid = SweepGrid::new("run-paths")
+        .config(SsdConfig::performance_optimized())
+        .workload(WorkloadAxis::catalog("hm_0").expect("catalog"))
+        .workload(WorkloadAxis::catalog("proj_3").expect("catalog"))
+        .fabrics(&[SystemKind::Baseline, SystemKind::Venice])
+        .requests(80);
+    let pool = WorkerPool::new(2);
+    let memory = grid.run_on(&pool);
+    let resumed = grid.run_resumable(&base.join("resumable"), &pool, true);
+    assert_eq!(resumed.reused_count(), 0);
+    assert_eq!(resumed.records().len(), memory.records().len());
+    for (a, b) in memory.records().iter().zip(resumed.records()) {
+        assert_eq!(a.point.label, b.point.label);
+        assert_eq!(a.metrics, b.metrics, "{}", a.point.label);
+    }
+    assert_eq!(memory.metrics_fingerprint(), resumed.metrics_fingerprint());
+    assert_eq!(memory.manifest_fingerprint(), resumed.manifest_fingerprint());
+
+    let memory_dir = memory.write(&base.join("memory")).expect("write artifact");
+    let resumed_dir = resumed.write(&base.join("resumable")).expect("write artifact");
+    let read = |path: std::path::PathBuf| std::fs::read(&path).expect("artifact file");
+    for file in memory.points().iter().map(|p| p.file_name()).chain(["grid.json".into()]) {
+        assert_eq!(read(memory_dir.join(&file)), read(resumed_dir.join(&file)), "{file}");
+    }
+    let manifest = |dir: &std::path::Path| {
+        std::fs::read_to_string(dir.join("manifest.json")).expect("manifest")
+    };
+    assert_eq!(
+        without_wall_seconds(&manifest(&memory_dir)),
+        without_wall_seconds(&manifest(&resumed_dir))
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -457,7 +505,8 @@ fn a_panicking_point_is_isolated_and_reported_failed() {
     assert_eq!(first.reused_count(), 0);
     let second = grid.run_resumable(&base, &pool, false);
     assert_eq!(second.reused_count(), 2, "healthy records reused");
-    assert_eq!(second.executed().len(), 2, "failed records re-executed");
+    assert_eq!(second.records().len(), 2, "failed records re-executed");
+    assert!(second.records().iter().all(|r| r.point.config_name == "poisoned"));
     assert_eq!(second.metrics_fingerprint(), first.metrics_fingerprint());
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -224,7 +224,7 @@ fn incremental_dispatch_matches_the_full_scan_reference() {
     for case in 0..4u64 {
         // Rotate through the policy table so every policy sees random
         // traffic on every fabric across the case set.
-        let policy = DispatchPolicyKind::ALL[(case % 4) as usize];
+        let policy = DispatchPolicyKind::ALL[case as usize % DispatchPolicyKind::ALL.len()];
         let read_pct = 40.0 + rng.next_f64() * 60.0;
         let kb = 4.0 + rng.next_f64() * 28.0;
         let us = 1.0 + rng.next_f64() * 15.0;
@@ -333,7 +333,8 @@ fn scout_fastfail_cache_is_bit_identical_and_checked() {
 
     let mut rng = Xorshift64Star::new(0xCAC4E);
     for case in 0..4u64 {
-        let policy = venice::ssd::DispatchPolicyKind::ALL[(case % 4) as usize];
+        let policies = venice::ssd::DispatchPolicyKind::ALL;
+        let policy = policies[case as usize % policies.len()];
         let read_pct = 40.0 + rng.next_f64() * 60.0;
         let kb = 4.0 + rng.next_f64() * 28.0;
         let us = 1.0 + rng.next_f64() * 10.0;
