@@ -527,7 +527,7 @@ impl SweepGrid {
         let start = Instant::now();
         let points = self.build_points();
         let prior = vec![None; points.len()];
-        self.execute(pool, points, prior, None, start)
+        self.execute(pool, points, prior, self.definition_json(), None, start)
     }
 
     /// Runs the grid, reusing any point records already on disk from a
@@ -581,7 +581,7 @@ impl SweepGrid {
         // results dir degrades to a non-resumable sweep, not a failure).
         let _ = std::fs::create_dir_all(dir.join("points"));
         let _ = write_atomic(&grid_file, grid_json.as_bytes());
-        self.execute(pool, points, prior, Some(&dir), start)
+        self.execute(pool, points, prior, grid_json, Some(&dir), start)
     }
 
     /// The run body shared by [`SweepGrid::run_on`] and
@@ -595,6 +595,7 @@ impl SweepGrid {
         pool: &WorkerPool,
         points: Vec<SweepPoint>,
         prior: Vec<Option<String>>,
+        grid_json: String,
         persist: Option<&Path>,
         start: Instant,
     ) -> SweepOutcome {
@@ -642,7 +643,7 @@ impl SweepGrid {
             });
         }
         SweepOutcome {
-            grid_json: self.definition_json(),
+            grid_json,
             name: self.name.clone(),
             requests,
             workload_count: workloads.len(),
